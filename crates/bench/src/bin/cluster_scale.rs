@@ -1,7 +1,8 @@
 //! Machine-readable probe of distributed extraction scaling.
 //!
 //! Records a SYN workload into an `.ivns` store, then runs the same
-//! extraction job several ways: single-process (`extract_from_store`),
+//! extraction job several ways: single-process (a store session,
+//! `pipeline.session(RunOptions::store(..)).extract()`),
 //! through `ivnt-cluster` with 1, 2 and (cores permitting) 4 subprocess
 //! workers (the binary re-executes itself in `__worker` mode, exactly
 //! like the CLI's `--local`), once with one artificially slowed worker
@@ -16,7 +17,7 @@
 //!   extraction (checked by re-encoding all partitions);
 //! * the wire v3 result compression must shrink result traffic by at
 //!   least `IVNT_CLUSTER_MIN_WIRE_RATIO` (default 3.0) versus the flat
-//!   v2 encoding — compression is core-count-independent, so this gate
+//!   `codec::encode_batch` size — compression is core-count-independent, so this gate
 //!   always applies;
 //! * on machines with at least as many cores as workers, the N-worker
 //!   run must beat the 1-worker run by `IVNT_CLUSTER_MIN_SPEEDUP`

@@ -13,6 +13,13 @@
 //! entry (the crash was mid-append) is dropped, everything before it
 //! survives. Resuming *rewrites* the file from the recovered entries
 //! rather than appending past a torn tail.
+//!
+//! Every entry carries a format byte after its group range, always `1`:
+//! the blobs are compressed batches
+//! ([`crate::codec::decode_batch_compressed`]). The byte keeps files
+//! written by earlier revisions readable; an intact entry whose byte is
+//! anything else (`0` marked flat batches, no longer produced) fails the
+//! resume with [`Error::Protocol`] instead of being silently dropped.
 
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -27,6 +34,9 @@ use crate::wire::MAX_FRAME_LEN;
 /// File magic; the trailing digit is the checkpoint format revision.
 const MAGIC: &[u8; 8] = b"IVNTCKP1";
 
+/// The entry format byte: blobs are compressed batches.
+const COMPRESSED: u8 = 1;
+
 /// One completed task's merged-state contribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointEntry {
@@ -34,10 +44,8 @@ pub struct CheckpointEntry {
     pub group_start: u32,
     /// One past the last row group the entry covers.
     pub group_end: u32,
-    /// Whether `blobs` are v3 compressed batches
-    /// ([`crate::codec::decode_batch_compressed`]) or flat v2 ones.
-    pub compressed: bool,
-    /// Encoded result batches in group order.
+    /// Compressed result batches
+    /// ([`crate::codec::encode_batch_compressed`]) in group order.
     pub blobs: Vec<Vec<u8>>,
 }
 
@@ -46,7 +54,7 @@ impl CheckpointEntry {
         let mut out = Vec::new();
         varint::write_u64(&mut out, u64::from(self.group_start));
         varint::write_u64(&mut out, u64::from(self.group_end));
-        out.push(u8::from(self.compressed));
+        out.push(COMPRESSED);
         varint::write_u64(&mut out, self.blobs.len() as u64);
         for b in &self.blobs {
             varint::write_u64(&mut out, b.len() as u64);
@@ -64,11 +72,15 @@ impl CheckpointEntry {
                 "inverted checkpoint range {group_start}..{group_end}"
             )));
         }
-        let compressed = match cur.read_u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(Error::Protocol(format!("bad compressed flag {other}"))),
-        };
+        match cur.read_u8()? {
+            COMPRESSED => {}
+            other => {
+                return Err(Error::Protocol(format!(
+                    "checkpoint entry format byte {other} (only {COMPRESSED}, \
+                     compressed batches, is read); delete the checkpoint to start over"
+                )))
+            }
+        }
         let n = cur.read_u64()?;
         if n > MAX_FRAME_LEN {
             return Err(Error::Protocol(format!("{n} checkpoint blobs")));
@@ -90,7 +102,6 @@ impl CheckpointEntry {
         Ok(CheckpointEntry {
             group_start,
             group_end,
-            compressed,
             blobs,
         })
     }
@@ -175,6 +186,8 @@ impl Checkpoint {
 }
 
 /// Reads the intact prefix of a checkpoint file, dropping a torn tail.
+/// An entry whose checksum holds but whose body does not decode is not
+/// a torn tail; its error is returned.
 fn load(path: &Path, fingerprint: u64) -> Result<Vec<CheckpointEntry>> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
@@ -207,10 +220,7 @@ fn load(path: &Path, fingerprint: u64) -> Result<Vec<CheckpointEntry>> {
         if u64::from_le_bytes(sum.try_into().expect("8 bytes")) != checksum(payload) {
             break;
         }
-        let Ok(entry) = CheckpointEntry::decode(payload) else {
-            break;
-        };
-        entries.push(entry);
+        entries.push(CheckpointEntry::decode(payload)?);
         pos += 4 + len + 8;
     }
     Ok(entries)
@@ -232,7 +242,6 @@ mod tests {
         CheckpointEntry {
             group_start: start,
             group_end: end,
-            compressed: true,
             blobs: vec![vec![start as u8; 16], vec![end as u8; 9]],
         }
     }

@@ -8,18 +8,19 @@
 //! and subnormals all survive the trip. Both ends hold the schema (it is
 //! implied by the job), so only a consistency tag per column travels.
 //!
-//! Two encodings coexist:
+//! Two encodings exist:
 //!
-//! * [`encode_batch`]/[`decode_batch`] — the flat v2 encoding, still
-//!   spoken to old workers after a downgraded handshake.
-//! * [`encode_batch_compressed`]/[`decode_batch_compressed`] — the v3
-//!   encoding, reusing the store's varint/zigzag-delta codecs on
+//! * [`encode_batch_compressed`]/[`decode_batch_compressed`] — what
+//!   crosses the wire, reusing the store's varint/zigzag-delta codecs on
 //!   numeric columns and dictionary encoding on low-cardinality
 //!   string/value columns. Every column carries a one-byte mode chosen
 //!   *deterministically from the cell values*, so re-encoding a decoded
 //!   batch reproduces the exact bytes (the proptests pin this).
 //!   Compression is lossless at the bit level: float deltas and float
 //!   dictionaries operate on raw IEEE-754 bit patterns, never values.
+//! * [`encode_batch`]/[`decode_batch`] — the flat encoding, never sent:
+//!   a bit-exact fingerprint tests and benches compare results with, and
+//!   ([`encoded_len_raw`]) the denominator of the wire compression ratio.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -32,9 +33,11 @@ use ivnt_store::varint::{self, Cursor};
 use crate::error::{Error, Result};
 use crate::wire::MAX_FRAME_LEN;
 
-/// Per-column encoding modes of the v3 compressed batch format.
+/// Per-column encoding modes of the compressed batch format. Byte 8
+/// (second-order keyed bit delta) is retired — it never won a column
+/// on real output — and decodes as an unknown mode.
 mod mode {
-    /// Cells exactly as in the v2 encoding.
+    /// Cells exactly as in the flat encoding.
     pub const RAW: u8 = 0;
     /// Int: zigzag varint of the wrapping delta between consecutive
     /// non-null cells (previous value starts at 0).
@@ -61,10 +64,6 @@ mod mode {
     /// signals into one column; per-signal series are smooth even when
     /// the column as a whole is not.
     pub const BITS_KEYED: u8 = 7;
-    /// Float: second-order keyed bit-pattern delta. Per-signal
-    /// timestamps are near-periodic, so the keyed first deltas are
-    /// near-constant and the second difference collapses.
-    pub const BITS_KEYED2: u8 = 8;
 }
 
 fn type_tag(dt: DataType) -> u8 {
@@ -143,7 +142,7 @@ fn varint_len(v: u64) -> u64 {
 }
 
 /// Exact byte count [`encode_batch`] would produce, without producing
-/// it — the uncompressed-v2 denominator of the wire compression ratio.
+/// it — the flat denominator of the wire compression ratio.
 pub fn encoded_len_raw(batch: &Batch) -> u64 {
     let rows = batch.num_rows();
     let mut len = varint_len(rows as u64) + varint_len(batch.columns().len() as u64);
@@ -172,7 +171,7 @@ pub fn encoded_len_raw(batch: &Batch) -> u64 {
     len
 }
 
-/// Encodes one batch in the v3 compressed format, decodable by
+/// Encodes one batch in the compressed format, decodable by
 /// [`decode_batch_compressed`]. Lossless at the bit level; the mode
 /// chosen per column is a pure function of the cell values, so
 /// `encode(decode(bytes)) == bytes` (canonical encoding).
@@ -304,20 +303,15 @@ fn encode_float_body(cells: &[Option<f64>], keys: Option<&[Option<Arc<str>>]>) -
     ];
     if let Some(keys) = keys {
         let mut keyed = Vec::new();
-        let mut keyed2 = Vec::new();
-        let mut state: HashMap<Option<&Arc<str>>, (i64, i64)> = HashMap::new();
+        let mut state: HashMap<Option<&Arc<str>>, i64> = HashMap::new();
         for (c, k) in cells.iter().zip(keys) {
             let Some(c) = c else { continue };
             let bits = c.to_bits() as i64;
-            let (prev, prev_d) = state.entry(k.as_ref()).or_insert((0, 0));
-            let d = bits.wrapping_sub(*prev);
-            varint::write_i64(&mut keyed, d);
-            varint::write_i64(&mut keyed2, d.wrapping_sub(*prev_d));
+            let prev = state.entry(k.as_ref()).or_insert(0);
+            varint::write_i64(&mut keyed, bits.wrapping_sub(*prev));
             *prev = bits;
-            *prev_d = d;
         }
         candidates.push((mode::BITS_KEYED, keyed));
-        candidates.push((mode::BITS_KEYED2, keyed2));
     }
     let (dict, indexes) = build_dict(cells.iter().flatten().map(|c| c.to_bits()));
     let mut dict_body = Vec::new();
@@ -403,7 +397,7 @@ pub fn decode_batch_compressed(bytes: &[u8], schema: &Arc<Schema>) -> Result<Bat
     // Keyed float columns may precede their key column (the first
     // string column); their deltas are parsed in place and replayed
     // once every column — including the key — has been decoded.
-    let mut keyed: Vec<(usize, u8, Vec<bool>, Vec<i64>)> = Vec::new();
+    let mut keyed: Vec<(usize, Vec<bool>, Vec<i64>)> = Vec::new();
     for field in schema.fields() {
         let tag = cur.read_u8()?;
         if tag != type_tag(field.data_type()) {
@@ -463,7 +457,7 @@ pub fn decode_batch_compressed(bytes: &[u8], schema: &Arc<Schema>) -> Result<Bat
                 }
                 Column::Float(cells)
             }
-            (DataType::Float, m @ (mode::BITS_KEYED | mode::BITS_KEYED2)) => {
+            (DataType::Float, mode::BITS_KEYED) => {
                 if !schema
                     .fields()
                     .iter()
@@ -477,7 +471,7 @@ pub fn decode_batch_compressed(bytes: &[u8], schema: &Arc<Schema>) -> Result<Bat
                 for _ in 0..non_null {
                     deltas.push(cur.read_i64()?);
                 }
-                keyed.push((columns.len(), m, valid, deltas));
+                keyed.push((columns.len(), valid, deltas));
                 // Placeholder; replaced once the key column is decoded.
                 Column::Float(vec![None; rows])
             }
@@ -603,21 +597,16 @@ pub fn decode_batch_compressed(bytes: &[u8], schema: &Arc<Schema>) -> Result<Bat
             .ok_or_else(|| {
                 Error::Protocol("keyed float mode in a batch with no string key column".into())
             })?;
-        for (idx, m, valid, deltas) in keyed {
-            let mut state: HashMap<Option<Arc<str>>, (i64, i64)> = HashMap::new();
+        for (idx, valid, deltas) in keyed {
+            let mut state: HashMap<Option<Arc<str>>, i64> = HashMap::new();
             let mut cells = Vec::with_capacity(rows);
             let mut next = deltas.into_iter();
             for (i, v) in valid.into_iter().enumerate() {
                 cells.push(if v {
-                    let (prev, prev_d) = state.entry(key_cells[i].clone()).or_insert((0, 0));
-                    let mut d = next.next().expect("one delta per non-null cell");
-                    if m == mode::BITS_KEYED2 {
-                        d = prev_d.wrapping_add(d);
-                    }
-                    let bits = prev.wrapping_add(d);
-                    *prev = bits;
-                    *prev_d = d;
-                    Some(f64::from_bits(bits as u64))
+                    let prev = state.entry(key_cells[i].clone()).or_insert(0);
+                    let d = next.next().expect("one delta per non-null cell");
+                    *prev = prev.wrapping_add(d);
+                    Some(f64::from_bits(*prev as u64))
                 } else {
                     None
                 });
@@ -873,6 +862,24 @@ mod tests {
             decode_batch_compressed(&bad, &schema),
             Err(Error::Protocol(_))
         ));
+    }
+
+    #[test]
+    fn retired_keyed_second_order_mode_is_unknown() {
+        let schema = mixed_schema();
+        let good = encode_batch_compressed(&mixed_batch(&schema));
+        let mut cur = Cursor::new(&good);
+        cur.read_u64().unwrap();
+        cur.read_u64().unwrap();
+        // Column 0 is the float column `t`.
+        let mode_pos = good.len() - cur.remaining() + 1;
+        let mut bad = good.clone();
+        bad[mode_pos] = 8;
+        let err = decode_batch_compressed(&bad, &schema).unwrap_err();
+        assert!(
+            matches!(&err, Error::Protocol(m) if m.contains("unknown mode 8")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The coordinator: plans shards, drives workers, merges results.
 //!
-//! Since wire v3 the coordinator is a **single-threaded multiplexed
-//! event loop**: every worker socket is switched to non-blocking mode
-//! after the handshake and one readiness loop services them all —
-//! draining frames, flushing queued writes, checking heartbeat
-//! liveness, assigning tasks and merging streamed partial results as
-//! they arrive. No per-worker session thread exists anymore; the only
-//! blocking phase left is the initial serial connect/handshake, bounded
-//! by [`ClusterConfig::connect_timeout_ms`] per worker.
+//! The coordinator is a **single-threaded multiplexed event loop**:
+//! every worker socket is switched to non-blocking mode after the
+//! handshake and one readiness loop services them all — draining
+//! frames, flushing queued writes, checking heartbeat liveness,
+//! assigning tasks and merging streamed partial results as they arrive.
+//! No per-worker session thread exists; the only blocking phase is the
+//! initial serial connect/handshake, bounded by
+//! [`ClusterConfig::connect_timeout_ms`] per worker. A worker whose
+//! handshake announces a wire revision other than [`WIRE_VERSION`] is
+//! refused there and counted as lost.
 //!
 //! Scheduling is dynamic. Planned tasks are striped across per-worker
 //! deques; a worker that runs dry claims from its own deque, then from
@@ -30,8 +32,8 @@
 //! a contiguous run of row groups, ranges are verified pairwise
 //! disjoint, and concatenating their per-group batch lists in
 //! `group_start` order rebuilds exactly the partition list a
-//! single-process
-//! [`Pipeline::extract_from_store`](ivnt_core::Pipeline::extract_from_store)
+//! single-process [`Pipeline::session`](ivnt_core::Pipeline::session)
+//! over [`RunOptions::store`](ivnt_core::pipeline::RunOptions::store)
 //! produces — bit-identical, which the integration tests assert under
 //! every worker count and every injected fault.
 
@@ -46,11 +48,11 @@ use ivnt_store::layout::checksum;
 use ivnt_store::{Footer, Predicate};
 
 use crate::checkpoint::{Checkpoint, CheckpointEntry};
-use crate::codec::{decode_batch, decode_batch_compressed};
+use crate::codec::decode_batch_compressed;
 use crate::error::{Error, Result};
 use crate::job::JobSpec;
 use crate::plan::{plan_shards_filtered, split_range};
-use crate::wire::{self, Message, MAX_FRAME_LEN, MIN_WIRE_VERSION, WIRE_VERSION};
+use crate::wire::{self, Message, MAX_FRAME_LEN, WIRE_VERSION};
 
 /// Scheduling knobs of one cluster run.
 #[derive(Debug, Clone)]
@@ -137,13 +139,14 @@ pub struct ClusterStats {
     pub partial_frames: u64,
     /// Result payload bytes that actually crossed the wire.
     pub wire_result_bytes: u64,
-    /// What the same results would have cost in the uncompressed v2
-    /// encoding — the denominator of [`ClusterStats::compression_ratio`].
+    /// What the same results would have cost in the flat
+    /// [`crate::codec::encode_batch`] encoding — the denominator of
+    /// [`ClusterStats::compression_ratio`].
     pub wire_result_raw_bytes: u64,
 }
 
 impl ClusterStats {
-    /// Wire compression ratio of result traffic (v2-equivalent bytes
+    /// Wire compression ratio of result traffic (flat-encoding bytes
     /// over actual bytes); `1.0` when nothing crossed the wire.
     pub fn compression_ratio(&self) -> f64 {
         if self.wire_result_bytes == 0 {
@@ -157,8 +160,8 @@ impl ClusterStats {
 /// A finished cluster run: the merged frame plus its statistics.
 #[derive(Debug, Clone)]
 pub struct ClusterRun {
-    /// Interpreted signals, bit-identical to a single-process
-    /// `extract_from_store` over the same store and job.
+    /// Interpreted signals, bit-identical to a single-process store
+    /// session over the same store and job.
     pub frame: DataFrame,
     /// Scheduling statistics.
     pub stats: ClusterStats,
@@ -264,8 +267,8 @@ struct TaskSlot {
     progress: u32,
     truncate_sent: bool,
     started: Instant,
-    /// Set when `status == Done`: (compressed?, blobs in group order).
-    result: Option<(bool, Vec<Vec<u8>>)>,
+    /// Set when `status == Done`: compressed blobs in group order.
+    result: Option<Vec<Vec<u8>>>,
 }
 
 impl TaskSlot {
@@ -290,7 +293,6 @@ impl TaskSlot {
 struct Conn {
     addr: String,
     stream: Option<TcpStream>,
-    version: u32,
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     woff: usize,
@@ -521,7 +523,7 @@ pub fn run_job(job: &JobSpec, workers: &[String], config: &ClusterConfig) -> Res
         .slots
         .iter_mut()
         .map(|s| {
-            let (compressed, blobs) = s.result.take().ok_or_else(|| {
+            let blobs = s.result.take().ok_or_else(|| {
                 Error::Job(format!(
                     "task {} never completed (no reachable worker?)",
                     s.task.task_id
@@ -530,7 +532,6 @@ pub fn run_job(job: &JobSpec, workers: &[String], config: &ClusterConfig) -> Res
             Ok(CheckpointEntry {
                 group_start: s.task.group_start,
                 group_end: s.task.group_end,
-                compressed,
                 blobs,
             })
         })
@@ -602,11 +603,7 @@ fn merge_entries(
         }
         prev_end = Some(e.group_end);
         for blob in &e.blobs {
-            parts.push(if e.compressed {
-                decode_batch_compressed(blob, schema)?
-            } else {
-                decode_batch(blob, schema)?
-            });
+            parts.push(decode_batch_compressed(blob, schema)?);
         }
     }
     if parts.is_empty() {
@@ -648,7 +645,6 @@ impl Driver<'_> {
             let mut conn = Conn {
                 addr: addr.clone(),
                 stream: None,
-                version: WIRE_VERSION,
                 rbuf: Vec::new(),
                 wbuf: Vec::new(),
                 woff: 0,
@@ -659,10 +655,7 @@ impl Driver<'_> {
                 reported_metrics: false,
             };
             match handshake(addr, job, self.config) {
-                Ok((stream, version)) => {
-                    conn.stream = Some(stream);
-                    conn.version = version;
-                }
+                Ok(stream) => conn.stream = Some(stream),
                 Err(e) => {
                     eprintln!("cluster: worker {addr} unavailable: {e}");
                     self.stats.workers_lost += 1;
@@ -785,16 +778,7 @@ impl Driver<'_> {
                 }
                 let accum = std::mem::take(&mut slot.accum);
                 let blobs = accum.finish(parts)?;
-                self.complete_task(idx, task_id, true, blobs)
-            }
-            Message::TaskResult { task_id, batches } => {
-                // The v2 whole-shard path: the bytes on the wire *are*
-                // the raw encoding, so it contributes ratio 1.
-                let _ = self.running_slot(idx, task_id)?;
-                let bytes: u64 = batches.iter().map(|b| b.len() as u64).sum();
-                self.stats.wire_result_bytes += bytes;
-                self.stats.wire_result_raw_bytes += bytes;
-                self.complete_task(idx, task_id, false, batches)
+                self.complete_task(idx, task_id, blobs)
             }
             Message::TaskError { task_id, message } => {
                 let _ = self.running_slot(idx, task_id)?;
@@ -830,17 +814,11 @@ impl Driver<'_> {
         Ok(slot)
     }
 
-    fn complete_task(
-        &mut self,
-        idx: usize,
-        task_id: u32,
-        compressed: bool,
-        blobs: Vec<Vec<u8>>,
-    ) -> Result<()> {
+    fn complete_task(&mut self, idx: usize, task_id: u32, blobs: Vec<Vec<u8>>) -> Result<()> {
         let wall = {
             let slot = &mut self.slots[task_id as usize];
             slot.status = TaskStatus::Done;
-            slot.result = Some((compressed, blobs));
+            slot.result = Some(blobs);
             slot.started.elapsed().as_secs_f64()
         };
         self.durations.push(wall);
@@ -855,11 +833,10 @@ impl Driver<'_> {
         self.completed_this_run += 1;
         if let Some(ckpt) = self.checkpoint.as_mut() {
             let slot = &self.slots[task_id as usize];
-            let (compressed, blobs) = slot.result.as_ref().expect("just set");
+            let blobs = slot.result.as_ref().expect("just set");
             ckpt.append(&CheckpointEntry {
                 group_start: slot.task.group_start,
                 group_end: slot.task.group_end,
-                compressed: *compressed,
                 blobs: blobs.clone(),
             })?;
         }
@@ -962,8 +939,7 @@ impl Driver<'_> {
     }
 
     /// Truncates stragglers: a task far past the completed-task median,
-    /// running on a v3 worker, with an idle worker available to absorb
-    /// the split-off tail.
+    /// with an idle worker available to absorb the split-off tail.
     fn check_stragglers(&mut self) {
         if self.durations.len() < self.config.straggler_min_samples.max(1) {
             return;
@@ -980,11 +956,6 @@ impl Driver<'_> {
             let Some(task_id) = self.conns[idx].running else {
                 continue;
             };
-            if self.conns[idx].version < 3 {
-                // A v2 worker reports no progress; truncating it is not
-                // possible on that dialect.
-                continue;
-            }
             let slot = &mut self.slots[task_id as usize];
             if slot.truncate_sent || slot.started.elapsed().as_secs_f64() < threshold {
                 continue;
@@ -1088,7 +1059,7 @@ impl Driver<'_> {
     }
 
     /// End-of-run metrics pull, multiplexed like everything else: ask
-    /// every live v2+ worker for its snapshot and drain replies until
+    /// every live worker for its snapshot and drain replies until
     /// they all answered or the liveness timeout passes. Best-effort —
     /// a worker that dies here just contributes nothing.
     fn collect_metrics_phase(&mut self, scratch: &mut [u8]) {
@@ -1163,10 +1134,10 @@ fn take_claimable(queue: &mut VecDeque<u32>, slots: &[TaskSlot], w: usize) -> Op
     queue.remove(pos)
 }
 
-/// Blocking connect + version negotiation + job preamble for one
-/// worker; returns the socket already switched to non-blocking mode and
-/// the negotiated wire version.
-fn handshake(addr: &str, job: &JobSpec, config: &ClusterConfig) -> Result<(TcpStream, u32)> {
+/// Blocking connect + version check + job preamble for one worker;
+/// returns the socket already switched to non-blocking mode. A worker
+/// announcing any revision but [`WIRE_VERSION`] is refused.
+fn handshake(addr: &str, job: &JobSpec, config: &ClusterConfig) -> Result<TcpStream> {
     let sock_addr: std::net::SocketAddr = addr
         .parse()
         .map_err(|_| Error::Job(format!("bad worker address {addr:?}")))?;
@@ -1181,20 +1152,15 @@ fn handshake(addr: &str, job: &JobSpec, config: &ClusterConfig) -> Result<(TcpSt
             peer: format!("coordinator->{addr}"),
         },
     )?;
-    let version = match wire::read_frame(&mut stream) {
-        Ok(Message::Hello { version, .. }) => {
-            let effective = version.min(WIRE_VERSION);
-            if effective < MIN_WIRE_VERSION {
-                return Err(Error::Protocol(format!(
-                    "worker {addr} speaks wire v{version}, coordinator supports \
-                     v{MIN_WIRE_VERSION}..=v{WIRE_VERSION}"
-                )));
-            }
-            effective
+    match wire::read_frame(&mut stream)? {
+        Message::Hello { version, .. } if version == WIRE_VERSION => {}
+        Message::Hello { version, .. } => {
+            return Err(Error::Protocol(format!(
+                "worker {addr} speaks wire v{version}, coordinator v{WIRE_VERSION}"
+            )))
         }
-        Ok(other) => return Err(Error::Protocol(format!("expected Hello, got {other:?}"))),
-        Err(e) => return Err(e),
-    };
+        other => return Err(Error::Protocol(format!("expected Hello, got {other:?}"))),
+    }
     wire::write_frame(
         &mut stream,
         &Message::Job {
@@ -1204,7 +1170,7 @@ fn handshake(addr: &str, job: &JobSpec, config: &ClusterConfig) -> Result<(TcpSt
     )?;
     stream.set_read_timeout(None).ok();
     stream.set_nonblocking(true)?;
-    Ok((stream, version))
+    Ok(stream)
 }
 
 #[cfg(test)]

@@ -7,18 +7,20 @@
 //! heartbeats, liveness timeouts, and bounded fault-tolerant retry that
 //! requeues a dead worker's tasks with that worker excluded.
 //!
-//! Since wire v3 the coordinator is a single non-blocking multiplexed
-//! event loop (no thread per worker); workers stream compressed
-//! per-group [`wire::Message::PartialResult`] frames so the merge
-//! overlaps compute; scheduling is dynamic (work-stealing deques plus
+//! Both peers speak exactly wire v3 ([`WIRE_VERSION`]); a peer
+//! announcing any other revision is refused at the handshake. The
+//! coordinator is a single non-blocking multiplexed event loop (no
+//! thread per worker); workers stream compressed per-group
+//! [`wire::Message::PartialResult`] frames so the merge overlaps
+//! compute; scheduling is dynamic (work-stealing deques plus
 //! straggler-triggered shard splitting); and a checkpoint file lets a
-//! restarted coordinator resume without re-fetching merged work. Wire
-//! v2 peers still interoperate through version negotiation.
+//! restarted coordinator resume without re-fetching merged work.
 //!
 //! The contract that makes it trustworthy: the merged distributed result
 //! is **bit-identical** to a single-process
-//! [`Pipeline::extract_from_store`](ivnt_core::Pipeline::extract_from_store)
-//! over the same store — for every worker count, and through injected
+//! [`Pipeline::session`](ivnt_core::Pipeline::session) over
+//! [`RunOptions::store`](ivnt_core::pipeline::RunOptions::store) on the
+//! same store — for every worker count, and through injected
 //! worker kills, corrupted result frames, stalled heartbeats, slow-task
 //! stragglers and coordinator restarts (see [`worker::WorkerFaults`]).
 //!
@@ -27,8 +29,8 @@
 //! - [`plan::plan_shards`] — zone-map-aware carving of group ranges;
 //!   [`plan::split_range`] re-plans a straggler's unfinished tail.
 //! - [`wire`] — the framed message codec (store varints + FNV-1a).
-//! - [`codec`] — bit-exact batch serialization, flat (v2) and
-//!   compressed (v3).
+//! - [`codec`] — bit-exact batch serialization: compressed on the wire,
+//!   flat as the fingerprint tests compare results with.
 //! - [`coordinator::run_job`] — the event loop: scheduling, liveness,
 //!   retry, stealing, splitting, merge.
 //! - [`checkpoint`] — completed-task results on disk for
@@ -57,5 +59,5 @@ pub use local::{
     LocalWorkerHandle, FAULT_LOCAL_ENV,
 };
 pub use plan::{plan_shards, plan_shards_filtered, split_range, ShardPlan, ShardTask};
-pub use wire::{Message, MIN_WIRE_VERSION, WIRE_VERSION};
+pub use wire::{Message, WIRE_VERSION};
 pub use worker::{WorkerFaults, WorkerServer, FAULT_ENV, LISTEN_PREFIX};

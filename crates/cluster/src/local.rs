@@ -3,7 +3,7 @@
 //! `ivnt cluster run --local N` (and CI) does not want pre-started
 //! remote daemons; it spawns N copies of its own executable in worker
 //! mode on ephemeral loopback ports. Each child prints a single
-//! [`LISTEN_PREFIX`](crate::worker::LISTEN_PREFIX) line on stdout once
+//! [`crate::worker::LISTEN_PREFIX`] line on stdout once
 //! bound; the parent parses the address from it, so there is no port
 //! race. Faults can be armed per child index — that is how the smoke
 //! test kills exactly one of its workers mid-run.

@@ -30,17 +30,12 @@ use crate::job::JobSpec;
 use crate::plan::ShardTask;
 
 /// Protocol revision; bumped on any incompatible frame or body change.
-/// v2 added the [`Message::MetricsRequest`]/[`Message::Metrics`] pair.
-/// v3 added compressed streamed partial results
-/// ([`Message::PartialResult`]/[`Message::TaskDone`]) and straggler
-/// shard truncation ([`Message::Truncate`]/[`Message::Truncated`]).
+/// v3 is the only revision spoken: compressed streamed partial results
+/// ([`Message::PartialResult`]/[`Message::TaskDone`]), straggler shard
+/// truncation ([`Message::Truncate`]/[`Message::Truncated`]) and the
+/// [`Message::MetricsRequest`]/[`Message::Metrics`] pair. The handshake
+/// rejects a peer announcing any other revision with [`Error::Protocol`].
 pub const WIRE_VERSION: u32 = 3;
-
-/// Oldest revision both peers still speak. The handshake negotiates
-/// `min(ours, theirs)`; anything below this is rejected. A v3
-/// coordinator drives a v2 worker with whole-shard uncompressed
-/// [`Message::TaskResult`] frames, exactly as before.
-pub const MIN_WIRE_VERSION: u32 = 2;
 
 /// Upper bound on a frame's payload length (64 MiB). A frame header
 /// claiming more is rejected before any allocation happens.
@@ -55,7 +50,7 @@ mod tag {
     pub const JOB: u8 = 2;
     pub const ASSIGN: u8 = 3;
     pub const HEARTBEAT: u8 = 4;
-    pub const TASK_RESULT: u8 = 5;
+    // 5 was the whole-shard result of wire v2; reserved, never reused.
     pub const TASK_ERROR: u8 = 6;
     pub const SHUTDOWN: u8 = 7;
     pub const METRICS_REQUEST: u8 = 8;
@@ -95,16 +90,6 @@ pub enum Message {
         /// Monotonic per-connection sequence number.
         seq: u64,
     },
-    /// Completed shard in one frame, worker → coordinator — the wire v2
-    /// result path, kept for old workers. v3 sessions stream
-    /// [`Message::PartialResult`] frames instead.
-    TaskResult {
-        /// Id of the finished task.
-        task_id: u32,
-        /// One encoded [`ivnt_frame::batch::Batch`] per emitted row
-        /// group, in group order (see [`crate::codec`]).
-        batches: Vec<Vec<u8>>,
-    },
     /// Shard execution failed on the worker (the worker stays alive).
     TaskError {
         /// Id of the failed task.
@@ -112,8 +97,8 @@ pub enum Message {
         /// Human-readable cause, reported into the coordinator's stats.
         message: String,
     },
-    /// One streamed slice of a shard result, worker → coordinator
-    /// (wire v3). The worker emits one of these per row group as it
+    /// One streamed slice of a shard result, worker → coordinator.
+    /// The worker emits one of these per row group as it
     /// finishes, so the coordinator's merge overlaps compute instead of
     /// waiting for the whole shard.
     PartialResult {
@@ -125,15 +110,16 @@ pub enum Message {
         /// Store row group the slice covers — the coordinator's view of
         /// shard progress, which drives straggler splitting.
         group: u32,
-        /// What the batches would have cost in the uncompressed v2
-        /// encoding — the honest denominator of the compression ratio.
+        /// What the batches would have cost in the flat
+        /// [`crate::codec::encode_batch`] encoding — the honest
+        /// denominator of the compression ratio.
         raw_bytes: u64,
         /// Compressed encodings ([`crate::codec::encode_batch_compressed`])
         /// of the group's result batches; empty when the group was
         /// pruned inside the shard.
         batches: Vec<Vec<u8>>,
     },
-    /// End of a streamed shard, worker → coordinator (wire v3).
+    /// End of a streamed shard, worker → coordinator.
     TaskDone {
         /// Id of the finished task.
         task_id: u32,
@@ -144,8 +130,8 @@ pub enum Message {
         /// assigned range end after a [`Message::Truncate`]).
         group_end: u32,
     },
-    /// Shrink a running shard's unfinished tail, coordinator → worker
-    /// (wire v3). Straggler handling: the tail is re-planned onto idle
+    /// Shrink a running shard's unfinished tail, coordinator → worker.
+    /// Straggler handling: the tail is re-planned onto idle
     /// workers.
     Truncate {
         /// Id of the task to shrink.
@@ -334,14 +320,6 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
             varint::write_u64(&mut out, u64::from(*task_id));
             varint::write_u64(&mut out, *seq);
         }
-        Message::TaskResult { task_id, batches } => {
-            out.push(tag::TASK_RESULT);
-            varint::write_u64(&mut out, u64::from(*task_id));
-            varint::write_u64(&mut out, batches.len() as u64);
-            for b in batches {
-                write_bytes(&mut out, b);
-            }
-        }
         Message::TaskError { task_id, message } => {
             out.push(tag::TASK_ERROR);
             varint::write_u64(&mut out, u64::from(*task_id));
@@ -425,18 +403,6 @@ pub fn decode_message(payload: &[u8]) -> Result<Message> {
             task_id: read_u32_varint(&mut cur, "task id")?,
             seq: cur.read_u64()?,
         },
-        tag::TASK_RESULT => {
-            let task_id = read_u32_varint(&mut cur, "task id")?;
-            let n = cur.read_u64()?;
-            if n > MAX_FRAME_LEN {
-                return Err(Error::Protocol(format!("{n} result batches")));
-            }
-            let mut batches = Vec::with_capacity(n.min(1024) as usize);
-            for _ in 0..n {
-                batches.push(read_bytes(&mut cur)?);
-            }
-            Message::TaskResult { task_id, batches }
-        }
         tag::TASK_ERROR => Message::TaskError {
             task_id: read_u32_varint(&mut cur, "task id")?,
             message: read_str(&mut cur)?,
@@ -582,6 +548,15 @@ mod tests {
         let bytes = encode_frame(&Message::MetricsRequest);
         let decoded = read_frame(&mut std::io::Cursor::new(bytes)).unwrap();
         assert_eq!(decoded, Message::MetricsRequest);
+    }
+
+    #[test]
+    fn retired_tag_5_is_an_unknown_tag() {
+        let err = decode_message(&[5, 0, 0]).unwrap_err();
+        assert!(
+            matches!(&err, Error::Protocol(m) if m == "unknown message tag 5"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -6,16 +6,15 @@
 //! [`JobSpec`](crate::job::JobSpec) and opens the `.ivns` store locally —
 //! shard results travel over the socket, raw trace rows never do.
 //!
-//! On a wire-v3 session the worker **streams**: each row group of an
-//! assigned shard is extracted, compressed
-//! ([`crate::codec::encode_batch_compressed`]) and shipped as a
-//! [`Message::PartialResult`] the moment it is done, so the coordinator
-//! merges while the worker computes. Between groups the worker polls for
-//! a [`Message::Truncate`] — the coordinator's straggler protocol — and
-//! answers with the group it will actually stop at (never one it has
-//! already emitted). A v2 coordinator gets the old whole-shard
-//! [`Message::TaskResult`] instead; [`WorkerServer::with_wire_version`]
-//! pins a worker to the old dialect for compatibility tests.
+//! The worker **streams**: each row group of an assigned shard is
+//! extracted, compressed ([`crate::codec::encode_batch_compressed`]) and
+//! shipped as a [`Message::PartialResult`] the moment it is done, so the
+//! coordinator merges while the worker computes. Between groups the
+//! worker polls for a [`Message::Truncate`] — the coordinator's
+//! straggler protocol — and answers with the group it will actually stop
+//! at (never one it has already emitted). A coordinator that announces a
+//! wire revision other than [`WIRE_VERSION`] ends the session with
+//! [`Error::Protocol`].
 //!
 //! Fault injection lives here too, env-gated via [`FAULT_ENV`]: the
 //! coordinator's retry, checksum-reject, liveness-timeout and straggler
@@ -30,9 +29,9 @@ use std::time::Duration;
 
 use ivnt_core::pipeline::RunOptions;
 
-use crate::codec::{encode_batch, encode_batch_compressed, encoded_len_raw};
+use crate::codec::{encode_batch_compressed, encoded_len_raw};
 use crate::error::{Error, Result};
-use crate::wire::{self, Message, IDLE_TASK, MIN_WIRE_VERSION, WIRE_VERSION};
+use crate::wire::{self, Message, IDLE_TASK, WIRE_VERSION};
 
 /// Environment variable carrying a comma-separated fault list
 /// (`kill-mid-task`, `corrupt-result`, `stall-heartbeat`, `slow-task`).
@@ -117,7 +116,6 @@ pub struct WorkerServer {
     listener: TcpListener,
     name: String,
     faults: WorkerFaults,
-    wire_version: u32,
 }
 
 impl WorkerServer {
@@ -133,7 +131,6 @@ impl WorkerServer {
             listener,
             name,
             faults: WorkerFaults::none(),
-            wire_version: WIRE_VERSION,
         })
     }
 
@@ -152,14 +149,6 @@ impl WorkerServer {
         self
     }
 
-    /// Caps the wire version this worker advertises — a v2-pinned worker
-    /// exercises the coordinator's compatibility fallback. Clamped to
-    /// the supported range.
-    pub fn with_wire_version(mut self, version: u32) -> WorkerServer {
-        self.wire_version = version.clamp(MIN_WIRE_VERSION, WIRE_VERSION);
-        self
-    }
-
     /// Accepts and serves exactly one coordinator session.
     ///
     /// # Errors
@@ -168,7 +157,7 @@ impl WorkerServer {
     /// ones ([`Error::Job`] with a `fault injection:` message).
     pub fn serve_once(&self) -> Result<()> {
         let (stream, _) = self.listener.accept()?;
-        serve_session(stream, &self.name, self.faults, self.wire_version)
+        serve_session(stream, &self.name, self.faults)
     }
 
     /// Serves coordinator sessions forever, like a daemon: a failed
@@ -181,7 +170,7 @@ impl WorkerServer {
     pub fn serve(&self) -> Result<()> {
         loop {
             let (stream, _) = self.listener.accept()?;
-            if let Err(e) = serve_session(stream, &self.name, self.faults, self.wire_version) {
+            if let Err(e) = serve_session(stream, &self.name, self.faults) {
                 eprintln!("{}: session failed: {e}", self.name);
             }
         }
@@ -189,34 +178,27 @@ impl WorkerServer {
 }
 
 /// Runs one full coordinator session over an accepted connection.
-fn serve_session(
-    mut stream: TcpStream,
-    name: &str,
-    faults: WorkerFaults,
-    advertised: u32,
-) -> Result<()> {
+fn serve_session(mut stream: TcpStream, name: &str, faults: WorkerFaults) -> Result<()> {
     stream.set_nodelay(true).ok();
-    let effective = match wire::read_frame(&mut stream)? {
-        Message::Hello { version, .. } => {
-            let effective = version.min(advertised);
-            if effective < MIN_WIRE_VERSION {
-                return Err(Error::Protocol(format!(
-                    "coordinator speaks wire v{version}, this worker \
-                     v{MIN_WIRE_VERSION}..=v{advertised}"
-                )));
-            }
-            effective
-        }
+    let theirs = match wire::read_frame(&mut stream)? {
+        Message::Hello { version, .. } => version,
         other => return Err(Error::Protocol(format!("expected Hello, got {other:?}"))),
     };
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
+    // Answer before judging, so a mismatched coordinator can name both
+    // revisions in its own error too.
     send(
         &writer,
         &Message::Hello {
-            version: advertised,
+            version: WIRE_VERSION,
             peer: name.to_string(),
         },
     )?;
+    if theirs != WIRE_VERSION {
+        return Err(Error::Protocol(format!(
+            "coordinator speaks wire v{theirs}, this worker v{WIRE_VERSION}"
+        )));
+    }
 
     let (job, heartbeat_ms) = match wire::read_frame(&mut stream)? {
         Message::Job { job, heartbeat_ms } => (job, heartbeat_ms),
@@ -290,7 +272,6 @@ fn serve_session(
         faults,
         heartbeat_ms,
         registry: &registry,
-        effective,
     };
     let result = session.assign_loop(&mut reader);
     running.store(false, Ordering::SeqCst);
@@ -316,7 +297,6 @@ struct Session<'a> {
     faults: WorkerFaults,
     heartbeat_ms: u32,
     registry: &'a Arc<ivnt_obs::Registry>,
-    effective: u32,
 }
 
 impl Session<'_> {
@@ -378,12 +358,7 @@ impl Session<'_> {
                 return Err(Error::Job("fault injection: stalled heartbeat".into()));
             }
 
-            let outcome = if self.effective >= 3 {
-                self.run_task_streamed(reader, task)
-            } else {
-                self.run_task_whole(reader, task)
-            };
-            match outcome {
+            match self.run_task(reader, task) {
                 TaskControl::Continue => {}
                 TaskControl::Stop(result) => return result,
             }
@@ -391,10 +366,10 @@ impl Session<'_> {
         }
     }
 
-    /// The v3 path: per-group extraction streamed as compressed
+    /// Per-group extraction streamed as compressed
     /// [`Message::PartialResult`] frames, a truncate poll between
     /// groups, and a closing [`Message::TaskDone`].
-    fn run_task_streamed(
+    fn run_task(
         &mut self,
         reader: &mut ivnt_store::StoreReader<std::io::BufReader<std::fs::File>>,
         task: crate::plan::ShardTask,
@@ -460,56 +435,6 @@ impl Session<'_> {
             parts: seq,
             group_end: end,
         })
-    }
-
-    /// The v2 path: whole-shard extraction, one flat
-    /// [`Message::TaskResult`].
-    fn run_task_whole(
-        &mut self,
-        reader: &mut ivnt_store::StoreReader<std::io::BufReader<std::fs::File>>,
-        task: crate::plan::ShardTask,
-    ) -> TaskControl {
-        let t_task = std::time::Instant::now();
-        if self.faults.slow_task {
-            std::thread::sleep(Duration::from_millis(
-                u64::from(self.heartbeat_ms.max(1))
-                    * 3
-                    * u64::from(task.group_end - task.group_start),
-            ));
-        }
-        let response = match self
-            .pipeline
-            .session(RunOptions::store_shard(reader, task.groups()))
-            .extract()
-        {
-            Ok(ex) => {
-                let batches = ex.frame.into_partitions();
-                self.registry.add("cluster_tasks_total{result=\"ok\"}", 1);
-                Message::TaskResult {
-                    task_id: task.task_id,
-                    batches: batches.iter().map(encode_batch).collect(),
-                }
-            }
-            Err(e) => {
-                self.registry
-                    .add("cluster_tasks_total{result=\"error\"}", 1);
-                Message::TaskError {
-                    task_id: task.task_id,
-                    message: e.to_string(),
-                }
-            }
-        };
-        self.registry.observe(
-            "cluster_task_seconds",
-            ivnt_obs::SECONDS_BUCKETS,
-            t_task.elapsed().as_secs_f64(),
-        );
-        if self.faults.corrupt_result {
-            self.faults.corrupt_result = false;
-            let sent = self.send_corrupted(&response);
-            return self.map_send(sent);
-        }
-        self.finish_send(&response)
     }
 
     /// Drains control frames that arrived mid-task. A Truncate for the

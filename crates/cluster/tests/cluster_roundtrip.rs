@@ -3,14 +3,18 @@
 //! The acceptance criterion, tested directly: for every worker count —
 //! and through injected worker kills, corrupted result frames and
 //! stalled heartbeats — the merged distributed result is *bit-identical*
-//! to a single-process `Pipeline::extract_from_store` over the same
-//! store. Bit-identity is asserted by re-encoding both results'
+//! to a single-process store session (`Pipeline::session` over
+//! `RunOptions::store`) on the same store. Bit-identity is asserted by re-encoding both results'
 //! partitions with the wire codec and comparing bytes.
 
 use std::path::{Path, PathBuf};
 
 use ivnt_cluster::codec::encode_batch;
-use ivnt_cluster::{run_job, ClusterConfig, Error, JobSpec, WorkerFaults, WorkerServer};
+use ivnt_cluster::wire::{self, Message};
+use ivnt_cluster::{
+    run_job, Checkpoint, CheckpointEntry, ClusterConfig, Error, JobSpec, WorkerFaults,
+    WorkerServer, WIRE_VERSION,
+};
 use ivnt_core::pipeline::RunOptions;
 use ivnt_simulator::scenario::{self, DataSetSpec};
 
@@ -65,25 +69,12 @@ fn single_process_fingerprint(job: &JobSpec) -> (Vec<Vec<u8>>, usize) {
 
 /// Starts `faults.len()` in-process workers, each serving one session.
 fn start_workers(faults: &[WorkerFaults]) -> (Vec<String>, Vec<std::thread::JoinHandle<()>>) {
-    let specs: Vec<(WorkerFaults, u32)> = faults
-        .iter()
-        .map(|&f| (f, ivnt_cluster::WIRE_VERSION))
-        .collect();
-    start_workers_versioned(&specs)
-}
-
-/// Starts one in-process worker per `(faults, wire_version)` spec, each
-/// serving one session.
-fn start_workers_versioned(
-    specs: &[(WorkerFaults, u32)],
-) -> (Vec<String>, Vec<std::thread::JoinHandle<()>>) {
     let mut addrs = Vec::new();
     let mut handles = Vec::new();
-    for &(f, v) in specs {
+    for &f in faults {
         let server = WorkerServer::bind("127.0.0.1:0")
             .expect("worker binds")
-            .with_faults(f)
-            .with_wire_version(v);
+            .with_faults(f);
         addrs.push(server.local_addr().expect("worker addr").to_string());
         handles.push(std::thread::spawn(move || {
             // Session failures (including injected ones) are the
@@ -247,7 +238,7 @@ fn v3_sessions_stream_compressed_partials() {
     );
     assert!(
         run.stats.wire_result_bytes < run.stats.wire_result_raw_bytes,
-        "compressed result traffic ({}) must undercut the v2 encoding ({})",
+        "compressed result traffic ({}) must undercut the flat encoding ({})",
         run.stats.wire_result_bytes,
         run.stats.wire_result_raw_bytes
     );
@@ -260,38 +251,105 @@ fn v3_sessions_stream_compressed_partials() {
 }
 
 #[test]
-fn v2_pinned_workers_interoperate_bit_identically() {
-    let path = temp_store("v2compat");
+fn worker_refuses_a_coordinator_speaking_another_wire_version() {
+    let server = WorkerServer::bind("127.0.0.1:0").expect("worker binds");
+    let addr = server.local_addr().expect("worker addr");
+    let handle = std::thread::spawn(move || server.serve_once());
+
+    let mut peer = std::net::TcpStream::connect(addr).expect("connect");
+    wire::write_frame(
+        &mut peer,
+        &Message::Hello {
+            version: 2,
+            peer: "old-coordinator".into(),
+        },
+    )
+    .expect("send hello");
+    // The worker still announces itself, so the old peer can report
+    // the mismatch too.
+    match wire::read_frame(&mut peer).expect("worker hello") {
+        Message::Hello { version, .. } => assert_eq!(version, WIRE_VERSION),
+        other => panic!("expected Hello, got {other:?}"),
+    }
+    let err = handle
+        .join()
+        .expect("worker thread")
+        .expect_err("a v2 coordinator is refused");
+    match err {
+        Error::Protocol(why) => assert!(
+            why.contains("v2") && why.contains(&format!("v{WIRE_VERSION}")),
+            "the error names both versions: {why}"
+        ),
+        other => panic!("expected a protocol error, got {other}"),
+    }
+}
+
+#[test]
+fn coordinator_drops_a_worker_speaking_another_wire_version() {
+    let path = temp_store("oldpeer");
     write_store(&path, 41);
     let job = job_for(&path, 41);
     let (expected, _) = single_process_fingerprint(&job);
 
-    // All-v2 fleet: the coordinator must fall back to whole-shard
-    // TaskResult frames and still merge bit-identically.
-    let specs = [(WorkerFaults::none(), 2), (WorkerFaults::none(), 2)];
-    let (addrs, handles) = start_workers_versioned(&specs);
-    let run = run_job(&job, &addrs, &fast_config()).expect("v2 cluster run");
-    for h in handles {
-        h.join().expect("worker thread");
-    }
-    assert_eq!(fingerprint(&run.frame), expected);
-    assert_eq!(run.stats.partial_frames, 0, "v2 sessions never stream");
-    assert!(
-        (run.stats.compression_ratio() - 1.0).abs() < f64::EPSILON,
-        "the v2 dialect is uncompressed"
-    );
+    // A fake peer answering the handshake as wire v2, then lingering
+    // until the coordinator hangs up.
+    let old = std::net::TcpListener::bind("127.0.0.1:0").expect("fake peer binds");
+    let old_addr = old.local_addr().expect("fake peer addr").to_string();
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = old.accept().expect("coordinator connects");
+        let _ = wire::read_frame(&mut stream);
+        wire::write_frame(
+            &mut stream,
+            &Message::Hello {
+                version: 2,
+                peer: "old-worker".into(),
+            },
+        )
+        .expect("send hello");
+        while wire::read_frame(&mut stream).is_ok() {}
+    });
+    let (mut addrs, handles) = start_workers(&[WorkerFaults::none()]);
+    addrs.insert(0, old_addr);
 
-    // Mixed fleet: one old worker, one new — negotiation is per session.
-    let specs = [
-        (WorkerFaults::none(), 2),
-        (WorkerFaults::none(), ivnt_cluster::WIRE_VERSION),
-    ];
-    let (addrs, handles) = start_workers_versioned(&specs);
-    let run = run_job(&job, &addrs, &fast_config()).expect("mixed cluster run");
+    let run = run_job(&job, &addrs, &fast_config()).expect("the real worker carries the job");
     for h in handles {
         h.join().expect("worker thread");
     }
+    fake.join().expect("fake peer thread");
     assert_eq!(fingerprint(&run.frame), expected);
+    assert_eq!(run.stats.workers, 2);
+    assert_eq!(run.stats.workers_lost, 1, "the v2 peer was refused");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn checkpoint_entry_with_flat_format_byte_fails_resume() {
+    let path =
+        std::env::temp_dir().join(format!("ivnt-cluster-ckpt-flat-{}.bin", std::process::id()));
+    let mut ckpt = Checkpoint::create(&path, 5).expect("checkpoint");
+    ckpt.append(&CheckpointEntry {
+        group_start: 0,
+        group_end: 2,
+        blobs: vec![vec![1, 2, 3]],
+    })
+    .expect("append");
+    drop(ckpt);
+
+    // Header: 8-byte magic + 8-byte fingerprint. Entry: u32 length,
+    // payload (start varint, end varint, format byte, ...), u64 checksum.
+    let mut bytes = std::fs::read(&path).expect("read checkpoint");
+    let payload_at = 16 + 4;
+    let len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+    assert_eq!(bytes[payload_at + 2], 1, "written entries are compressed");
+    bytes[payload_at + 2] = 0;
+    // Re-seal the checksum: this is a well-formed entry of the retired
+    // flat format, not a torn tail.
+    let sum = ivnt_store::layout::checksum(&bytes[payload_at..payload_at + len]);
+    bytes[payload_at + len..payload_at + len + 8].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write checkpoint");
+
+    let err = Checkpoint::resume_or_create(&path, 5).expect_err("flat entries are refused");
+    assert!(matches!(err, Error::Protocol(_)), "typed error: {err}");
     std::fs::remove_file(&path).ok();
 }
 

@@ -91,8 +91,8 @@ impl SignalSequence {
 
     /// Per-row channel names, in order (`None` where the cell is null).
     ///
-    /// Shares the column's `Arc<str>` cells like [`text_values`]
-    /// (SignalSequence::text_values); used by equivalence tests comparing
+    /// Shares the column's `Arc<str>` cells like
+    /// [`text_values`](SignalSequence::text_values); used by equivalence tests comparing
     /// streaming deltas against batch sequences row by row.
     ///
     /// # Errors

@@ -127,7 +127,7 @@ const READ_BATCH_ROWS: usize = 8 * 1024;
 /// reader can be passed.
 ///
 /// The input is streamed: one reused line buffer plus at most
-/// [`READ_BATCH_ROWS`] decoded rows are held at a time, and every
+/// `READ_BATCH_ROWS` decoded rows are held at a time, and every
 /// `READ_BATCH_ROWS` rows are sealed into their own partition. Line
 /// endings may be LF or CRLF. Errors cite the 1-based physical line of
 /// the offending record.

@@ -20,7 +20,7 @@
 //! * [`bottom_up_naive`] — the retained O(n²) reference: the original
 //!   fit-every-candidate / linear-min-scan structure.
 //!
-//! Both call the same [`FitTable`] for every candidate, so their costs are
+//! Both call the same `FitTable` for every candidate, so their costs are
 //! bit-identical and they produce identical segment boundaries (asserted by
 //! property tests in `tests/series_properties.rs`).
 
@@ -267,7 +267,7 @@ fn fitted_cost(fits: &FitTable, start: usize, end: usize) -> f64 {
 
 /// The retained O(n²) reference implementation of [`bottom_up`]: full
 /// candidate re-fit and a linear minimum scan per merge, structurally the
-/// original algorithm. It uses the same [`FitTable`] arithmetic as the heap
+/// original algorithm. It uses the same `FitTable` arithmetic as the heap
 /// version, so both produce bit-identical segmentations; property tests
 /// hold the fast path to this oracle.
 pub fn bottom_up_naive(data: &[f64], max_error: f64) -> Vec<Segment> {

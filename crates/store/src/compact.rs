@@ -94,15 +94,104 @@ pub fn compact<R: Read + Seek, W: Write>(
 ///
 /// Same conditions as [`compact`], plus [`StoreReader::open`]'s validation
 /// errors — an unsealed append-mode file must be sealed (e.g. with
-/// [`seal_recovered`](crate::append::seal_recovered)) first.
+/// [`seal_recovered`](crate::append::seal_recovered)) first. Refuses with
+/// [`Error::Io`] (`InvalidInput`), before touching either file, when
+/// `output` already exists as the very file `input` names (any alias:
+/// `dir/../x`, a hard link) — truncating it would destroy the input.
 pub fn compact_file<P: AsRef<Path>, Q: AsRef<Path>>(
     input: P,
     output: Q,
     options: WriterOptions,
 ) -> Result<CompactReport> {
+    let (input, output) = (input.as_ref(), output.as_ref());
+    if same_file(input, output) {
+        return Err(Error::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "compaction output {} is the input file itself",
+                output.display()
+            ),
+        )));
+    }
     let mut reader = StoreReader::open(input)?;
     let out = BufWriter::new(File::create(output)?);
     let (mut out, report) = compact(&mut reader, out, options)?;
     out.flush()?;
     Ok(report)
+}
+
+/// Whether `a` and `b` both exist and are one file — same device and
+/// inode, so every path alias and hard link is caught.
+fn same_file(a: &Path, b: &Path) -> bool {
+    let (Ok(ma), Ok(mb)) = (std::fs::metadata(a), std::fs::metadata(b)) else {
+        return false;
+    };
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt;
+        ma.dev() == mb.dev() && ma.ino() == mb.ino()
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = (ma, mb);
+        matches!(
+            (a.canonicalize(), b.canonicalize()),
+            (Ok(ca), Ok(cb)) if ca == cb
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use ivnt_protocol::message::Protocol;
+
+    use super::*;
+    use crate::Record;
+
+    #[test]
+    fn compacting_a_file_onto_itself_is_refused_and_leaves_it_intact() {
+        let dir = std::env::temp_dir().join(format!("ivnt-compact-self-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        let p = dir.join("x.ivns");
+        let options = WriterOptions {
+            chunk_rows: 16,
+            chunks_per_group: 2,
+            cluster: true,
+        };
+        let mut writer = StoreWriter::create(&p, options).unwrap();
+        let bus: Arc<str> = Arc::from("FC");
+        for i in 0..100u64 {
+            writer
+                .append(&Record {
+                    timestamp_us: i * 10,
+                    bus: bus.clone(),
+                    message_id: (i % 5) as u32,
+                    payload: vec![i as u8; 4],
+                    protocol: Protocol::Can,
+                })
+                .unwrap();
+        }
+        writer.finish().unwrap();
+        let before = std::fs::read(&p).unwrap();
+
+        let dotdot = dir.join("sub").join("..").join("x.ivns");
+        let link = dir.join("hard-link.ivns");
+        std::fs::hard_link(&p, &link).unwrap();
+        for alias in [&p, &dotdot, &link] {
+            let err = compact_file(&p, alias, options).expect_err("self-compaction refused");
+            assert!(
+                matches!(&err, Error::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
+                "{err}"
+            );
+            assert_eq!(std::fs::read(&p).unwrap(), before, "input untouched");
+        }
+
+        // A distinct output still compacts.
+        let out = dir.join("y.ivns");
+        let report = compact_file(&p, &out, options).unwrap();
+        assert_eq!(report.rows, 100);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

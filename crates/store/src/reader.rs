@@ -1,7 +1,8 @@
 //! Store reader: trailer/footer parsing and the zone-map pushdown scan.
 //!
 //! A scan walks the footer's chunk index in file order, evaluating the
-//! caller's [`Predicate`] against each chunk's [`ZoneMap`] first — chunks
+//! caller's [`Predicate`] against each chunk's
+//! [`ZoneMap`](crate::layout::ZoneMap) first — chunks
 //! proven empty of matches are **skipped without being read or decoded**.
 //! Surviving chunks are decoded, row-filtered, and buffered per row group;
 //! when a group completes, its matching rows are re-sorted by original

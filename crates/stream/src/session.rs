@@ -23,7 +23,8 @@
 //!   signal's watermark passes them.
 //! * Gateway dedup is replayed with a bounded representative history and
 //!   per-channel cursors (see [`StreamOptions::history_cap`]).
-//! * Reduction calls the *same* [`ConditionFn::evaluate`] with a carried
+//! * Reduction calls the *same*
+//!   [`ConditionFn::evaluate`](ivnt_core::reduce::ConditionFn::evaluate) with a carried
 //!   `RowCtx` — previous row, index — so the kept-row mask is identical.
 //!
 //! Bounded-memory deviations from the batch path are deliberate, counted

@@ -10,6 +10,10 @@ use ivnt::core::pipeline::PipelineOutput;
 use ivnt::core::prelude::*;
 use ivnt::simulator::prelude::*;
 
+/// Metrics subscribers are process-wide, so a pipeline run in one test
+/// would count into another test's registry. Every test holds this lock.
+static OBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 fn dataset() -> GeneratedDataSet {
     generate(&DataSetSpec::syn().with_seed(23).with_target_examples(8_000)).expect("generate")
 }
@@ -62,6 +66,7 @@ fn profile(data: &GeneratedDataSet, name: &str) -> DomainProfile {
 
 #[test]
 fn parallel_pipeline_matches_serial_bit_for_bit() {
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
     let data = dataset();
     let u_rel = RuleSet::from_network(&data.network);
 
@@ -91,6 +96,7 @@ fn parallel_pipeline_matches_serial_bit_for_bit() {
 #[test]
 fn one_worker_session_skips_the_scatter_machinery() {
     use ivnt::core::pipeline::RunOptions;
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
     let data = dataset();
     let u_rel = RuleSet::from_network(&data.network);
 
@@ -126,6 +132,7 @@ fn one_worker_session_skips_the_scatter_machinery() {
 
 #[test]
 fn timing_is_populated_but_not_part_of_the_output_contract() {
+    let _obs = OBS.lock().unwrap_or_else(|e| e.into_inner());
     let data = dataset();
     let u_rel = RuleSet::from_network(&data.network);
     let output = Pipeline::new(u_rel, profile(&data, "timing").with_workers(2))
