@@ -173,7 +173,7 @@ mod tests {
     use ivnt_simulator::faults::FaultPlan;
     use ivnt_simulator::functions;
     use ivnt_simulator::network::GatewayRoute;
-    use ivnt_simulator::trace::TraceRecord;
+    use ivnt_simulator::trace::Record;
     use std::sync::Arc;
 
     fn network() -> NetworkModel {
@@ -233,7 +233,7 @@ mod tests {
     fn unknown_messages_counted_as_failures() {
         let n = network();
         let tool = SequentialAnalyzer::new(n);
-        let trace = Trace::from_records(vec![TraceRecord {
+        let trace = Trace::from_records(vec![Record {
             timestamp_us: 0,
             bus: Arc::from("XX"),
             message_id: 999,

@@ -32,7 +32,7 @@
 use std::io::Write;
 use std::time::Instant;
 
-use ivnt_bench::scale;
+use ivnt_bench::{env_f64, scale};
 use ivnt_cluster::codec::encode_batch;
 use ivnt_cluster::{
     run_job, spawn_local_workers, ClusterConfig, ClusterRun, JobSpec, LocalSpawnSpec, WorkerServer,
@@ -40,7 +40,6 @@ use ivnt_cluster::{
 };
 use ivnt_core::pipeline::RunOptions;
 use ivnt_simulator::scenario::{self, DataSetSpec};
-use ivnt_simulator::store::to_store_record;
 use ivnt_store::{StoreWriter, WriterOptions};
 
 const SEED: u64 = 7;
@@ -58,13 +57,6 @@ fn worker_main() -> Result<(), Box<dyn std::error::Error>> {
 fn median(times: &mut [f64]) -> f64 {
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -90,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut writer = StoreWriter::create(&path, options)?;
     for r in data.trace.records() {
-        writer.append(&to_store_record(r))?;
+        writer.append(r)?;
     }
     writer.finish()?;
 

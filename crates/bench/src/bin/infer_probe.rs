@@ -22,14 +22,12 @@
 //! `IVNT_BENCH_SCALE` scales the workload as in the other probes.
 
 use std::io::Cursor;
-use std::time::Instant;
 
-use ivnt_bench::scale;
+use ivnt_bench::{median_secs, scale};
 use ivnt_core::pipeline::{DomainProfile, Pipeline, RunOptions};
 use ivnt_core::rules::{InferParams, RuleCatalog};
 use ivnt_infer::infer_store;
 use ivnt_simulator::scenario::{self, DataSetSpec};
-use ivnt_simulator::store::to_store_record;
 use ivnt_store::{StoreReader, StoreWriter, WriterOptions};
 
 struct ScenarioResult {
@@ -85,20 +83,6 @@ impl ScenarioResult {
     }
 }
 
-/// Median wall-clock seconds over `runs` executions (after one warmup).
-fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let target = (40_000.0 * scale()) as usize;
     let runs = 3;
@@ -122,7 +106,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let mut writer = StoreWriter::new(Vec::new(), options)?;
         for r in data.trace.records() {
-            writer.append(&to_store_record(r))?;
+            writer.append(r)?;
         }
         let bytes = writer.finish()?;
 

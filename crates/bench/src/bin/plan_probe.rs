@@ -23,25 +23,10 @@
 use std::io::{Cursor, Read, Seek};
 use std::time::Instant;
 
-use ivnt_bench::{disjoint_domains, domain_pipeline, scale, vehicle_journey};
+use ivnt_bench::{disjoint_domains, domain_pipeline, median_secs, scale, vehicle_journey};
 use ivnt_core::pipeline::{Pipeline, RunOptions};
 use ivnt_plan::{Planner, Query};
-use ivnt_simulator::store::to_store_record;
 use ivnt_store::{StoreReader, StoreWriter, WriterOptions};
-
-/// Median wall-clock seconds over `runs` executions (after one warmup).
-fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
 
 fn median(mut v: Vec<f64>) -> f64 {
     v.sort_by(f64::total_cmp);
@@ -152,7 +137,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut writer = StoreWriter::new(Vec::new(), options)?;
     for r in data.trace.records() {
-        writer.append(&to_store_record(r))?;
+        writer.append(r)?;
     }
     let bytes = writer.finish()?;
 

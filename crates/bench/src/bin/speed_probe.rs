@@ -12,47 +12,15 @@
 //! `fused_vs_seed_speedup` figure is emitted — the honest before/after number
 //! for this interpretation path.
 
-use std::time::Instant;
-
-use ivnt_bench::{covered_fraction, scale, select_signals_for_fraction, u_rel_with_hints};
+use ivnt_bench::{
+    covered_fraction, env_f64, json_f64_after, median_secs, scale, select_signals_for_fraction,
+    u_rel_with_hints,
+};
 use ivnt_core::interpret::{
     interpret, interpret_fused, interpret_fused_scalar, preselect, run_length_histogram,
 };
 use ivnt_core::prelude::*;
 use ivnt_core::tabular::trace_to_frame;
-
-/// Median wall-clock seconds over `runs` executions (after one warmup).
-fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-/// Pulls `"key": <number>` out of `text` after the first occurrence of
-/// `anchor` — enough JSON "parsing" for the flat file `seed_probe` writes.
-fn json_f64_after(text: &str, anchor: &str, key: &str) -> Option<f64> {
-    let rest = &text[text.find(anchor)?..];
-    let rest = &rest[rest.find(&format!("\"{key}\""))?..];
-    let rest = rest.split_once(':')?.1;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE ".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
 
 struct Measurement {
     name: &'static str,

@@ -19,28 +19,11 @@
 //!
 //! `IVNT_BENCH_SCALE` scales the workload as in the other probes.
 
-use std::fs::File;
-use std::io::BufWriter;
-use std::time::Instant;
-
-use ivnt_bench::{covered_fraction, domain_pipeline, scale, select_signals_for_fraction};
+use ivnt_bench::{
+    covered_fraction, domain_pipeline, median_secs, scale, select_signals_for_fraction,
+};
 use ivnt_core::pipeline::RunOptions;
-use ivnt_simulator::store::to_store_record;
 use ivnt_store::{StoreReader, StoreWriter, WriterOptions};
-
-/// Median wall-clock seconds over `runs` executions (after one warmup).
-fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
 
 struct Measurement {
     name: &'static str,
@@ -95,7 +78,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir();
     let pid = std::process::id();
     let path = dir.join(format!("ivnt-store-probe-{pid}.ivns"));
-    let legacy_path = dir.join(format!("ivnt-store-probe-{pid}.ivnt"));
 
     eprintln!(
         "workload: {trace_rows} rows, 9 signals ({:.1}% of traffic), \
@@ -110,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let write_store = || {
         let mut writer = StoreWriter::create(&path, options).expect("create store");
         for r in data.trace.records() {
-            writer.append(&to_store_record(r)).expect("append");
+            writer.append(r).expect("append");
         }
         writer.finish().expect("finish");
     };
@@ -122,11 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rows_out: trace_rows,
     });
 
-    // Size comparison against the legacy sequential binary format.
-    data.trace
-        .write_to(BufWriter::new(File::create(&legacy_path)?))?;
     let ivns_bytes = std::fs::metadata(&path)?.len();
-    let legacy_bytes = std::fs::metadata(&legacy_path)?.len();
 
     let mut reader = StoreReader::open(&path)?;
     let chunks_total = reader.footer().chunks.len();
@@ -187,7 +165,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
 
     let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(&legacy_path);
 
     let skip_ratio = stats.skip_ratio();
     let min_skip: f64 = std::env::var("IVNT_STORE_MIN_SKIP")
@@ -210,7 +187,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  }},\n",
             "  \"file\": {{\n",
             "    \"ivns_bytes\": {},\n",
-            "    \"legacy_bytes\": {},\n",
             "    \"bytes_per_row\": {:.2}\n",
             "  }},\n",
             "  \"measurements\": [\n{}\n  ],\n",
@@ -232,7 +208,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         group_rows,
         runs,
         ivns_bytes,
-        legacy_bytes,
         ivns_bytes as f64 / trace_rows.max(1) as f64,
         entries.join(",\n"),
         chunks_total,
@@ -256,7 +231,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "file: {ivns_bytes} bytes ({:.2} B/row; legacy format {legacy_bytes} bytes)",
+        "file: {ivns_bytes} bytes ({:.2} B/row)",
         ivns_bytes as f64 / trace_rows.max(1) as f64
     );
     println!(

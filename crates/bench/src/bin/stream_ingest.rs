@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use ivnt_bench::{domain_pipeline, scale, select_signals_for_fraction};
+use ivnt_bench::{domain_pipeline, median_secs, scale, select_signals_for_fraction};
 use ivnt_core::pipeline::RunOptions;
 use ivnt_store::{
     recover, seal_recovered, AppendOptions, AppendWriter, StoreFollower, StoreReader, WriterOptions,
@@ -36,20 +36,6 @@ use ivnt_stream::{
     flatten_reduced, ingest, summarize_batch, DeltaRow, IngestOptions, IngestStats,
     SimulatorSource, StopFlag, StreamOptions, StreamingSession,
 };
-
-/// Median wall-clock seconds over `runs` executions (after one warmup).
-fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
 
 /// The p-th quantile of a latency sample, by sorted rank.
 fn sample_quantile(samples: &[f64], p: f64) -> f64 {

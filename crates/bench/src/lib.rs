@@ -28,6 +28,41 @@ pub fn scale() -> f64 {
         .unwrap_or(1.0)
 }
 
+/// A numeric environment variable (a probe's gate or knob), or `default`
+/// when it is unset or unparsable.
+pub fn env_f64(key: &str, default: f64) -> f64 {
+    std::env::var(key)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
+/// Median wall-clock seconds over `runs` executions (after one warmup).
+pub fn median_secs(runs: usize, mut f: impl FnMut()) -> f64 {
+    f(); // warmup
+    let mut times: Vec<f64> = (0..runs)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// Pulls `"key": <number>` out of `text` after the first occurrence of
+/// `anchor` — enough JSON "parsing" for the flat file `seed_probe` writes.
+pub fn json_f64_after(text: &str, anchor: &str, key: &str) -> Option<f64> {
+    let rest = &text[text.find(anchor)?..];
+    let rest = &rest[rest.find(&format!("\"{key}\""))?..];
+    let rest = rest.split_once(':')?.1;
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || ".-+eE ".contains(c)))
+        .unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
 /// The full-vehicle workload behind Table 6: a large catalog in which any
 /// one domain's signals are a small fraction of the traffic, exactly like a
 /// real trace. 400 signal types; a domain extracting 9 signals touches

@@ -1,7 +1,7 @@
 //! The CLI subcommands.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 
 use ivnt_core::prelude::*;
 use ivnt_core::represent::render_state_table;
@@ -18,7 +18,10 @@ pub const SWITCHES: &[&str] = &[
     "json", "once", "verify", "timing", "serial", "metrics", "stdin", "no-seal",
 ];
 
-type CmdResult = Result<(), String>;
+/// A command's outcome. Failures carry their message; an I/O error from
+/// writing to stdout keeps its kind so `main` can end a closed pipe
+/// (`ivnt inspect … | head`) cleanly.
+type CmdResult = Result<(), Box<dyn std::error::Error>>;
 
 fn err(e: impl std::fmt::Display) -> String {
     e.to_string()
@@ -55,7 +58,8 @@ where
     }
 }
 
-/// The authored-table builder shared by `run`/`extract`/`query`:
+/// The authored-table builder shared by `run`, `query`, `store extract`
+/// and `stream follow`:
 /// regenerates a short slice of the scenario purely for its network model
 /// and comparability hints (the catalog/documentation role).
 fn authored_catalog(args: &Args) -> Result<RuleCatalog, String> {
@@ -82,51 +86,34 @@ fn scenario_spec(args: &Args) -> Result<DataSetSpec, String> {
     Ok(spec)
 }
 
-/// `ivnt record --scenario syn --examples 50000 --seed 7 <out.ivnt>`
-///
-/// # Errors
-///
-/// Reports generation and I/O failures as messages.
-pub fn record(args: &Args) -> CmdResult {
-    let out_path = args.positional(0, "out.ivnt")?;
-    let spec = scenario_spec(args)?;
-    let data = scenario::generate(&spec).map_err(err)?;
-    let file = File::create(out_path).map_err(err)?;
-    data.trace.write_to(BufWriter::new(file)).map_err(err)?;
-    println!(
-        "recorded {}: {} records, {:.1} s, {} signal types ({})",
-        out_path,
-        data.trace.len(),
-        data.trace.duration_s(),
-        data.signal_classes.len(),
-        spec.name,
-    );
-    Ok(())
-}
-
-/// `ivnt inspect <trace.ivnt>` — structural statistics of a trace file.
+/// `ivnt inspect <trace.ivns>` — structural statistics of a trace file.
 ///
 /// # Errors
 ///
 /// Reports I/O and format failures as messages.
 pub fn inspect(args: &Args) -> CmdResult {
-    let path = args.positional(0, "trace.ivnt")?;
-    let file = File::open(path).map_err(err)?;
-    let trace = Trace::read_from(BufReader::new(file)).map_err(err)?;
+    let path = args.positional(0, "trace.ivns")?;
+    let records = ivnt_store::StoreReader::open(path)
+        .and_then(|mut reader| reader.read_all())
+        .map_err(err)?;
+    let stats = ivnt_simulator::stats::trace_stats(&Trace::from_records(records));
 
-    let stats = ivnt_simulator::stats::trace_stats(&trace);
-    println!(
+    let mut out = std::io::stdout().lock();
+    writeln!(
+        out,
         "{path}: {} records over {:.1} s ({:.0} msg/s, {} payload bytes)",
         stats.records, stats.duration_s, stats.rate_hz, stats.payload_bytes,
-    );
-    println!("channels: {}", stats.channels.join(", "));
-    println!("top message streams:");
-    println!(
+    )?;
+    writeln!(out, "channels: {}", stats.channels.join(", "))?;
+    writeln!(out, "top message streams:")?;
+    writeln!(
+        out,
         "  {:<10} {:<12} {:>8} {:>12} {:>12} {:>12}",
         "m_id", "bus", "count", "mean gap", "max gap", "jitter"
-    );
+    )?;
     for m in stats.top_talkers(12) {
-        println!(
+        writeln!(
+            out,
             "  {:<10} {:<12} {:>8} {:>10.1}ms {:>10.1}ms {:>10.2}ms",
             m.message_id,
             m.bus,
@@ -134,66 +121,36 @@ pub fn inspect(args: &Args) -> CmdResult {
             m.mean_gap_s * 1e3,
             m.max_gap_s * 1e3,
             m.jitter_s * 1e3,
-        );
+        )?;
     }
     Ok(())
-}
-
-/// `ivnt extract --scenario syn --seed 7 [--signals a,b] [--state-csv out.csv] <trace.ivnt>`
-///
-/// Rebuilds the scenario's network (the catalog/documentation role), runs
-/// the full pipeline and prints or exports the state representation. The
-/// `--scenario`/`--seed` must match the recording.
-///
-/// # Errors
-///
-/// Reports pipeline and I/O failures as messages.
-pub fn extract(args: &Args) -> CmdResult {
-    run_pipeline_cmd(args)
-}
-
-/// `ivnt run --scenario syn --seed 7 [--signals a,b] [--workers N]
-/// [--timing] [--serial] [--metrics] [--json] [--state-csv out.csv]
-/// <trace.ivnt>`
-///
-/// The full Algorithm 1 like `ivnt extract`, plus perf introspection:
-/// `--timing` prints the per-stage busy/wall breakdown, `--serial`
-/// forces the sequential reference path, `--workers` caps the
-/// per-signal fan-out, `--metrics` prints the run's observability
-/// snapshot (Prometheus text, or JSON with `--json`), and `--json`
-/// switches the whole summary to machine-readable output.
-///
-/// # Errors
-///
-/// Reports pipeline and I/O failures as messages.
-pub fn run(args: &Args) -> CmdResult {
-    run_pipeline_cmd(args)
 }
 
 /// Prints the per-stage timing table of one run: `busy` is the summed
 /// per-signal task time, `wall` the stage's elapsed makespan — they only
 /// differ for the fan-out stages, where `busy / wall` approximates the
 /// stage's effective parallelism.
-fn print_timing(t: &ivnt_core::pipeline::StageTiming) {
+fn print_timing(out: &mut impl Write, t: &ivnt_core::pipeline::StageTiming) -> std::io::Result<()> {
     let ms = |s: f64| format!("{:.3}", s * 1e3);
-    let serial = |name: &str, busy: f64| {
-        println!("  {:<22} {:>10} {:>10}", name, ms(busy), ms(busy));
-    };
-    let fan_out = |name: &str, busy: f64, wall: f64| {
-        println!("  {:<22} {:>10} {:>10}", name, ms(busy), ms(wall));
-    };
-    println!("\nstage timing (busy = summed per-signal task time, wall = stage makespan):");
-    println!("  {:<22} {:>10} {:>10}", "stage", "busy ms", "wall ms");
-    serial("interpret (fused)", t.interpret);
-    serial("split", t.split);
-    fan_out("dedup", t.dedup, t.wall.dedup);
-    fan_out("reduce", t.reduce, t.wall.reduce);
-    fan_out("extend", t.extend, t.wall.extend);
-    fan_out("classify", t.classify, t.wall.classify);
-    fan_out("branch", t.branch, t.wall.branch);
-    serial("merge", t.merge);
-    serial("state", t.state);
-    println!("  {:<22} {:>10} {:>10}", "total", "", ms(t.total));
+    writeln!(
+        out,
+        "\nstage timing (busy = summed per-signal task time, wall = stage makespan):"
+    )?;
+    writeln!(out, "  {:<22} {:>10} {:>10}", "stage", "busy ms", "wall ms")?;
+    for (name, busy, wall) in [
+        ("interpret (fused)", t.interpret, t.interpret),
+        ("split", t.split, t.split),
+        ("dedup", t.dedup, t.wall.dedup),
+        ("reduce", t.reduce, t.wall.reduce),
+        ("extend", t.extend, t.wall.extend),
+        ("classify", t.classify, t.wall.classify),
+        ("branch", t.branch, t.wall.branch),
+        ("merge", t.merge, t.merge),
+        ("state", t.state, t.state),
+    ] {
+        writeln!(out, "  {:<22} {:>10} {:>10}", name, ms(busy), ms(wall))?;
+    }
+    writeln!(out, "  {:<22} {:>10} {:>10}", "total", "", ms(t.total))
 }
 
 /// Renders one run's timing as a JSON object (seconds, not ms).
@@ -219,16 +176,29 @@ fn timing_json(w: &mut JsonWriter, t: &ivnt_core::pipeline::StageTiming) {
     w.end_object();
 }
 
-/// Shared driver of `ivnt extract` and `ivnt run`.
-fn run_pipeline_cmd(args: &Args) -> CmdResult {
-    let path = args.positional(0, "trace.ivnt")?;
-    let file = File::open(path).map_err(err)?;
-    let trace = Trace::read_from(BufReader::new(file)).map_err(err)?;
-
+/// `ivnt run --scenario syn --seed 7 [--signals a,b] [--workers N]
+/// [--timing] [--serial] [--metrics] [--json] [--state-csv out.csv]
+/// <trace.ivns>`
+///
+/// The full Algorithm 1 over a store file: rebuilds the rule tables (the
+/// catalog/documentation role; `--scenario`/`--seed` must match the
+/// recording), runs the pipeline and prints or exports the state
+/// representation. Perf introspection: `--timing` prints the per-stage
+/// busy/wall breakdown, `--serial` forces the sequential reference path,
+/// `--workers` caps the per-signal fan-out, `--metrics` prints the run's
+/// observability snapshot (Prometheus text, or JSON with `--json`), and
+/// `--json` switches the whole summary to machine-readable output.
+///
+/// # Errors
+///
+/// Reports pipeline and I/O failures as messages.
+pub fn run(args: &Args) -> CmdResult {
+    let path = args.positional(0, "trace.ivns")?;
+    let mut reader = ivnt_store::StoreReader::open(path).map_err(err)?;
     let catalog = rule_catalog(
         args,
         || authored_catalog(args),
-        |params| Ok(ivnt_infer::infer_trace(&trace, params)),
+        |params| ivnt_infer::infer_store(&mut reader, params).map_err(err),
     )?;
 
     let shared = SharedOptions::parse(args)?;
@@ -240,7 +210,7 @@ fn run_pipeline_cmd(args: &Args) -> CmdResult {
     let pipeline = Pipeline::from_catalog(&catalog, profile).map_err(err)?;
 
     let registry = output::metrics_registry(&shared);
-    let mut opts = ivnt_core::pipeline::RunOptions::trace(&trace);
+    let mut opts = ivnt_core::pipeline::RunOptions::store(&mut reader);
     if shared.serial {
         opts = opts.serial();
     }
@@ -253,6 +223,7 @@ fn run_pipeline_cmd(args: &Args) -> CmdResult {
     let output = pipeline.session(opts).run().map_err(err)?;
     let snapshot = registry.as_ref().map(|(r, _)| r.snapshot());
 
+    let mut out = std::io::stdout().lock();
     if shared.json {
         let mut w = JsonWriter::new();
         w.begin_object(None);
@@ -271,20 +242,21 @@ fn run_pipeline_cmd(args: &Args) -> CmdResult {
             w.field_raw("metrics", &s.to_json());
         }
         w.end_object();
-        println!("{}", w.finish());
+        writeln!(out, "{}", w.finish())?;
     } else {
-        println!("extracted {} signals:", output.signals.len());
+        writeln!(out, "extracted {} signals:", output.signals.len())?;
         for s in &output.signals {
-            println!(
+            writeln!(
+                out,
                 "  {:<14} branch {:<6} {:>8} -> {:>8} rows",
                 s.signal, s.classification.branch, s.rows_interpreted, s.rows_reduced
-            );
+            )?;
         }
         if shared.timing {
-            print_timing(&output.timing);
+            print_timing(&mut out, &output.timing)?;
         }
         if let Some(s) = &snapshot {
-            println!();
+            writeln!(out)?;
             output::print_snapshot(&shared, s);
         }
     }
@@ -297,21 +269,19 @@ fn run_pipeline_cmd(args: &Args) -> CmdResult {
         .map_err(err)?;
         std::fs::write(report_path, md).map_err(err)?;
         if !shared.json {
-            println!("report written to {report_path}");
+            writeln!(out, "report written to {report_path}")?;
         }
     }
     if let Some(csv_path) = args.get("state-csv") {
         let file = File::create(csv_path).map_err(err)?;
         ivnt_frame::csv::write_csv(&output.state, BufWriter::new(file)).map_err(err)?;
         if !shared.json {
-            println!("state representation written to {csv_path}");
+            writeln!(out, "state representation written to {csv_path}")?;
         }
     } else if !shared.json {
         let rows = args.get_parsed::<usize>("rows")?.unwrap_or(15);
-        println!(
-            "\n{}",
-            render_state_table(&output.state, rows).map_err(err)?
-        );
+        let table = render_state_table(&output.state, rows).map_err(err)?;
+        writeln!(out, "\n{table}")?;
     }
     Ok(())
 }
@@ -329,7 +299,8 @@ pub fn store(args: &Args) -> CmdResult {
         "compact" => store_compact(args),
         other => Err(format!(
             "unknown store subcommand {other:?} (use ingest|info|extract|compact)"
-        )),
+        )
+        .into()),
     }
 }
 
@@ -348,22 +319,20 @@ fn writer_options(args: &Args) -> Result<ivnt_store::WriterOptions, String> {
     Ok(options)
 }
 
-/// `ivnt store ingest [--from trace.ivnt|trace.csv] [--scenario syn ...]
+/// `ivnt store ingest [--from trace.csv] [--scenario syn ...]
 /// [--chunk-rows N] [--chunks-per-group N] [--cluster true|false] <out.ivns>`
 ///
-/// Converts a legacy binary trace or a raw-trace CSV into the chunked
-/// columnar format; without `--from`, records a simulated scenario
-/// directly into it.
+/// Converts a raw-trace CSV into the chunked columnar format; without
+/// `--from`, records a simulated scenario directly into it.
 fn store_ingest(args: &Args) -> CmdResult {
     let out_path = args.positional(1, "out.ivns")?;
     let trace = match args.get("from") {
-        Some(path) if path.ends_with(".csv") => {
+        Some(path) if path.to_ascii_lowercase().ends_with(".csv") => {
             let file = File::open(path).map_err(err)?;
             ivnt_simulator::store::read_csv_trace(BufReader::new(file)).map_err(err)?
         }
         Some(path) => {
-            let file = File::open(path).map_err(err)?;
-            Trace::read_from(BufReader::new(file)).map_err(err)?
+            return Err(format!("--from {path:?}: expected a raw-trace .csv file").into());
         }
         None => {
             scenario::generate(&scenario_spec(args)?)
@@ -375,9 +344,7 @@ fn store_ingest(args: &Args) -> CmdResult {
     let group_rows = options.group_rows();
     let mut writer = ivnt_store::StoreWriter::create(out_path, options).map_err(err)?;
     for r in trace.records() {
-        writer
-            .append(&ivnt_simulator::store::to_store_record(r))
-            .map_err(err)?;
+        writer.append(r).map_err(err)?;
     }
     let rows = writer.rows();
     writer.finish().map_err(err)?;
@@ -572,18 +539,13 @@ fn store_info(args: &Args) -> CmdResult {
 fn store_extract(args: &Args) -> CmdResult {
     let path = args.positional(1, "trace.ivns")?;
     let shared = SharedOptions::parse(args)?;
-    let spec = scenario_spec(args)?;
-    let data = scenario::generate(&spec.clone().with_duration_s(0.5)).map_err(err)?;
-    let mut u_rel = RuleSet::from_network(&data.network);
-    for (signal, (_, comparable)) in &data.signal_classes {
-        let _ = u_rel.set_comparable(signal, *comparable);
-    }
+    let catalog = authored_catalog(args)?;
     let mut profile = DomainProfile::new("cli-store");
     if let Some(list) = args.get("signals") {
         let names: Vec<String> = list.split(',').map(str::trim).map(String::from).collect();
         profile = profile.with_signals(names);
     }
-    let pipeline = Pipeline::new(u_rel, profile).map_err(err)?;
+    let pipeline = Pipeline::from_catalog(&catalog, profile).map_err(err)?;
     let mut reader = ivnt_store::StoreReader::open(path).map_err(err)?;
 
     let registry = output::metrics_registry(&shared);
@@ -922,9 +884,7 @@ pub fn stream(args: &Args) -> CmdResult {
     match args.positional(0, "ingest|follow")? {
         "ingest" => stream_ingest(args),
         "follow" => stream_follow(args),
-        other => Err(format!(
-            "unknown stream subcommand {other:?} (use ingest|follow)"
-        )),
+        other => Err(format!("unknown stream subcommand {other:?} (use ingest|follow)").into()),
     }
 }
 
@@ -949,10 +909,11 @@ fn sample_quantile(samples: &[f64], p: f64) -> f64 {
 /// Sources: `--stdin` reads the frame-line format from standard input,
 /// `--listen` accepts one TCP peer speaking the same format, and the
 /// default replays a simulated scenario (looped when `--frames` caps the
-/// run). Every flushed group is checksummed and immediately durable, so
-/// killing the process mid-stream loses at most the unflushed tail —
-/// `ivnt store info` and the pipeline recover the rest. `--no-seal`
-/// leaves the file appendable on exit.
+/// run). Every flushed group is checksummed and survives a process kill;
+/// it is not fsynced yet (ROADMAP item 3), so power loss can still lose
+/// flushed groups. Killing the process mid-stream loses at most the
+/// unflushed tail — `ivnt store info` and the pipeline recover the rest.
+/// `--no-seal` leaves the file appendable on exit.
 fn stream_ingest(args: &Args) -> CmdResult {
     let out_path = args.positional(1, "out.ivns")?;
     let shared = SharedOptions::parse_switches(args);
@@ -1063,18 +1024,13 @@ fn stream_follow(args: &Args) -> CmdResult {
     let path = args.positional(1, "trace.ivns")?;
     let shared = SharedOptions::parse_switches(args);
 
-    let spec = scenario_spec(args)?;
-    let data = scenario::generate(&spec.clone().with_duration_s(0.5)).map_err(err)?;
-    let mut u_rel = RuleSet::from_network(&data.network);
-    for (signal, (_, comparable)) in &data.signal_classes {
-        let _ = u_rel.set_comparable(signal, *comparable);
-    }
+    let catalog = authored_catalog(args)?;
     let mut profile = DomainProfile::new("cli-stream");
     if let Some(list) = args.get("signals") {
         let names: Vec<String> = list.split(',').map(str::trim).map(String::from).collect();
         profile = profile.with_signals(names);
     }
-    let pipeline = Pipeline::new(u_rel, profile).map_err(err)?;
+    let pipeline = Pipeline::from_catalog(&catalog, profile).map_err(err)?;
 
     let mut options = ivnt_stream::StreamOptions::default();
     if let Some(ms) = args.get_parsed::<u64>("watermark-ms")? {
@@ -1217,9 +1173,7 @@ pub fn cluster(args: &Args) -> CmdResult {
     match args.positional(0, "worker|run")? {
         "worker" => cluster_worker(args),
         "run" => cluster_run(args),
-        other => Err(format!(
-            "unknown cluster subcommand {other:?} (use worker|run)"
-        )),
+        other => Err(format!("unknown cluster subcommand {other:?} (use worker|run)").into()),
     }
 }
 
@@ -1240,9 +1194,9 @@ fn cluster_worker(args: &Args) -> CmdResult {
     println!("{}{addr}", ivnt_cluster::LISTEN_PREFIX);
     std::io::stdout().flush().map_err(err)?;
     if args.has("once") {
-        server.serve_once().map_err(err)
+        Ok(server.serve_once().map_err(err)?)
     } else {
-        server.serve().map_err(err)
+        Ok(server.serve().map_err(err)?)
     }
 }
 
@@ -1572,23 +1526,18 @@ pub fn usage() -> &'static str {
     "ivnt — in-vehicle network trace preprocessing (DAC'18 reproduction)
 
 USAGE:
-  ivnt record  --scenario syn|lig|sta [--examples N] [--seed S] <out.ivnt>
-  ivnt inspect <trace.ivnt>
-  ivnt extract --scenario syn|lig|sta [--seed S] [--signals a,b,..]
-               [--rules authored|inferred|merged|FILE.dbc] [shared flags]
-               [--state-csv out.csv] [--report out.md] [--rows N]
-               <trace.ivnt>
+  ivnt inspect <trace.ivns>
   ivnt run     --scenario syn|lig|sta [--seed S] [--signals a,b,..]
                [--rules authored|inferred|merged|FILE.dbc] [shared flags]
                [--state-csv out.csv] [--report out.md] [--rows N]
-               <trace.ivnt>
+               <trace.ivns>
   ivnt query   --scenario syn|lig|sta [--seed S]
                --domain NAME=SIG[+SIG..][@FROM_US..TO_US] [--domain ..]
                [--signal SIG [--signal ..]]
                [--rules authored|inferred|merged|FILE.dbc] [shared flags]
                <trace.ivns>
   ivnt infer   --store trace.ivns [--mid ID] [--min-samples N] [--json]
-  ivnt store ingest  [--from trace.ivnt|trace.csv | --scenario syn|lig|sta
+  ivnt store ingest  [--from trace.csv | --scenario syn|lig|sta
                       [--seed S] [--examples N]] [--chunk-rows N]
                       [--chunks-per-group N] [--cluster true|false] <out.ivns>
   ivnt store info    [--chunks N] [--groups N] [--json] <trace.ivns>
@@ -1615,7 +1564,7 @@ USAGE:
                       <trace.ivns>
   ivnt dbc     <file.dbc> [--bus NAME]
 
-RULE SOURCES (run, extract, query):
+RULE SOURCES (run, query):
   --rules authored   rebuild tables from the scenario network (default)
   --rules inferred   recover packing tables from raw payloads (ivnt-infer;
                      no DBC or --scenario knowledge needed)
@@ -1631,10 +1580,10 @@ MULTI-QUERY:
   bit-identical to a solo session. `store compact` rewrites micro-batched
   (append-mode) stores into full-size row groups, contents unchanged.
 
-SHARED FLAGS (run, extract, store extract, query):
+SHARED FLAGS (run, store extract, query):
   --workers N   cap the per-signal fan-out executor
   --serial      force the sequential reference path
-  --timing      print the per-stage busy/wall timing table (run, extract)
+  --timing      print the per-stage busy/wall timing table (run)
   --metrics     print an ivnt-obs snapshot of the run (Prometheus text)
   --json        machine-readable output; with --metrics, the snapshot
                 is embedded as JSON

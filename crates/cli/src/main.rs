@@ -22,9 +22,7 @@ fn main() {
         }
     };
     let result = match command.as_str() {
-        "record" => commands::record(&parsed),
         "inspect" => commands::inspect(&parsed),
-        "extract" => commands::extract(&parsed),
         "run" => commands::run(&parsed),
         "query" => commands::query(&parsed),
         "store" => commands::store(&parsed),
@@ -36,13 +34,17 @@ fn main() {
             print!("{}", commands::usage());
             Ok(())
         }
-        other => Err(format!(
-            "unknown command {other:?}\n\n{}",
-            commands::usage()
-        )),
+        other => Err(format!("unknown command {other:?}\n\n{}", commands::usage()).into()),
     };
     if let Err(e) = result {
-        eprintln!("error: {e}");
-        std::process::exit(1);
+        // A reader that closed the pipe early (`ivnt inspect … | head`)
+        // took all the output it wanted: that is a clean exit.
+        let broken_pipe = e
+            .downcast_ref::<std::io::Error>()
+            .is_some_and(|e| e.kind() == std::io::ErrorKind::BrokenPipe);
+        if !broken_pipe {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -1324,7 +1324,7 @@ mod tests {
     use ivnt_protocol::message::{MessageSpec, Protocol};
     use ivnt_protocol::signal::SignalSpec;
     use ivnt_simulator::network::NetworkModel;
-    use ivnt_simulator::trace::{Trace, TraceRecord};
+    use ivnt_simulator::trace::{Record, Trace};
 
     fn network() -> NetworkModel {
         let mut catalog = Catalog::new();
@@ -1357,7 +1357,7 @@ mod tests {
 
     fn trace() -> Trace {
         // Fig. 2's example: wpos 45° then 60°, wvel constant 1.
-        let rec = |t_us: u64, id: u32, payload: Vec<u8>| TraceRecord {
+        let rec = |t_us: u64, id: u32, payload: Vec<u8>| Record {
             timestamp_us: t_us,
             bus: Arc::from("FC"),
             message_id: id,
@@ -1419,7 +1419,7 @@ mod tests {
     fn truncated_payload_yields_null_not_error() {
         let u_rel = RuleSet::from_network(&network());
         let u_comb = u_rel.select(&["wvel"]).unwrap();
-        let t = Trace::from_records(vec![TraceRecord {
+        let t = Trace::from_records(vec![Record {
             timestamp_us: 0,
             bus: Arc::from("FC"),
             message_id: 3,
@@ -1451,7 +1451,7 @@ mod tests {
             .unwrap();
         let n = NetworkModel::new(catalog);
         let u_comb = RuleSet::from_network(&n);
-        let t = Trace::from_records(vec![TraceRecord {
+        let t = Trace::from_records(vec![Record {
             timestamp_us: 1_400_000,
             bus: Arc::from("BC"),
             message_id: 5,

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use ivnt_frame::prelude::*;
 use ivnt_simulator::trace::Trace;
+use ivnt_store::schema::records_to_batch;
 
 use crate::error::Result;
 
@@ -39,32 +40,12 @@ pub fn raw_schema() -> Arc<Schema> {
 /// Propagates tabular-engine failures.
 pub fn trace_to_frame(trace: &Trace, partitions: usize) -> Result<DataFrame> {
     let schema = raw_schema();
-    let n = trace.len();
-    let parts = partitions.max(1);
-    let chunk = n.div_ceil(parts).max(1);
-    let mut batches = Vec::with_capacity(parts);
-    let mut records = trace.records();
-    while !records.is_empty() {
-        let take = chunk.min(records.len());
-        let (head, tail) = records.split_at(take);
-        let batch = Batch::from_rows(
-            schema.clone(),
-            head.iter().map(|r| {
-                vec![
-                    Value::Float(r.timestamp_s()),
-                    Value::from(r.payload.clone()),
-                    // Share the trace's interned bus Arc instead of
-                    // reallocating per row: downstream operators exploit
-                    // the pointer identity of repeated bus names.
-                    Value::Str(r.bus.clone()),
-                    Value::Int(r.message_id as i64),
-                    Value::from(r.protocol.to_string()),
-                ]
-            }),
-        )?;
-        batches.push(batch);
-        records = tail;
-    }
+    let chunk = trace.len().div_ceil(partitions.max(1)).max(1);
+    let mut batches = trace
+        .records()
+        .chunks(chunk)
+        .map(|part| records_to_batch(schema.clone(), part))
+        .collect::<std::result::Result<Vec<_>, _>>()?;
     if batches.is_empty() {
         batches.push(Batch::empty(schema.clone()));
     }
@@ -86,12 +67,12 @@ pub fn null_counts(batch: &Batch) -> Vec<usize> {
 mod tests {
     use super::*;
     use ivnt_protocol::message::Protocol;
-    use ivnt_simulator::trace::TraceRecord;
+    use ivnt_simulator::trace::Record;
 
     fn trace(n: usize) -> Trace {
         Trace::from_records(
             (0..n)
-                .map(|i| TraceRecord {
+                .map(|i| Record {
                     timestamp_us: i as u64 * 1000,
                     bus: Arc::from("FC"),
                     message_id: 3,

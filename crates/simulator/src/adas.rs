@@ -17,7 +17,7 @@ use ivnt_protocol::signal::SignalSpec;
 use ivnt_protocol::someip::OptionalFieldLayout;
 
 use crate::error::Result;
-use crate::trace::{Trace, TraceRecord};
+use crate::trace::{Record, Trace};
 
 /// The object-list service description: layout plus per-field decode specs
 /// (field-relative, i.e. bit positions within the field's bytes).
@@ -138,7 +138,7 @@ pub fn generate_object_trace(model: &ObjectListModel, duration_s: f64, seed: u64
             // No object: presence mask only.
             model.layout.encode(&[None, None, None])?
         };
-        trace.push(TraceRecord {
+        trace.push(Record {
             timestamp_us: t,
             bus: bus.clone(),
             message_id: model.message_id,

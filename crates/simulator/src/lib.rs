@@ -12,8 +12,8 @@
 //!   the duplicate signal instances Algorithm 1's dedup step exploits,
 //! * **fault injection** ([`faults`]): cycle-time violations, outlier
 //!   spikes, stuck signals, forced invalid labels,
-//! * the recorded byte sequence `K_b` as a [`trace::Trace`] with a compact
-//!   binary format,
+//! * the recorded byte sequence `K_b` as a [`trace::Trace`] of the store's
+//!   [`Record`] tuples (persisted as `.ivns` through [`store`]),
 //! * [`scenario`] generators reproducing the *shape* of the paper's
 //!   SYN / LIG / STA data sets (Table 5) and multi-journey workloads
 //!   (Table 6), plus hand-modelled [`functions`] (wiper, lights,
@@ -52,7 +52,7 @@ pub use error::{Error, Result};
 pub use faults::{Fault, FaultPlan};
 pub use network::{GatewayRoute, NetworkModel, Sender};
 pub use scenario::{generate, journeys, BranchHint, DataSetSpec, GeneratedDataSet};
-pub use trace::{Trace, TraceRecord};
+pub use trace::{Record, Trace};
 
 /// Convenient glob import of the simulator's common types.
 pub mod prelude {
@@ -60,5 +60,5 @@ pub mod prelude {
     pub use crate::faults::{Fault, FaultPlan};
     pub use crate::network::{GatewayRoute, NetworkModel, Sender};
     pub use crate::scenario::{generate, journeys, BranchHint, DataSetSpec, GeneratedDataSet};
-    pub use crate::trace::{Trace, TraceRecord};
+    pub use crate::trace::{Record, Trace};
 }

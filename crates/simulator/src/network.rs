@@ -13,7 +13,7 @@ use ivnt_protocol::signal::PhysicalValue;
 use crate::behavior::{Behavior, BehaviorState};
 use crate::error::{Error, Result};
 use crate::faults::FaultPlan;
-use crate::trace::{Trace, TraceRecord};
+use crate::trace::{Record, Trace};
 
 /// A gateway forwarding rule: selected messages of one channel are
 /// re-transmitted on another channel (with a small forwarding delay).
@@ -246,7 +246,7 @@ impl NetworkModel {
                 }
                 if !faults.suppresses(&sender.bus, sender.message_id, t_s) {
                     let payload = spec.encode(&values)?;
-                    trace.push(TraceRecord {
+                    trace.push(Record {
                         timestamp_us: t_emit,
                         bus: bus.clone(),
                         message_id: sender.message_id,
@@ -254,7 +254,7 @@ impl NetworkModel {
                         protocol: spec.protocol(),
                     });
                     for (to_bus, delay) in &routes {
-                        trace.push(TraceRecord {
+                        trace.push(Record {
                             timestamp_us: t_emit + delay,
                             bus: to_bus.clone(),
                             message_id: sender.message_id,

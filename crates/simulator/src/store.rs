@@ -5,12 +5,11 @@
 //! 1/7/12 journeys). This module is that repository at laptop scale: a
 //! directory of journey files plus a plain-text index.
 //!
-//! New journeys are written in the chunked columnar `.ivns` format
+//! Journeys are stored in the chunked columnar `.ivns` format
 //! ([`ivnt_store`]) so downstream extraction can push predicates into the
-//! storage layer. Existing repositories keep working: `.ivnt` files use
-//! the legacy sequential binary format, and `.csv` files are imported
-//! through the raw-trace CSV schema — [`TraceStore::load`] dispatches on
-//! the file extension.
+//! storage layer. Traces produced by external capture tooling enter
+//! through the raw-trace CSV schema ([`TraceStore::import_csv_journey`]),
+//! which converts them to `.ivns` on import.
 
 use std::fs::{self, File};
 use std::io::{BufReader, Read};
@@ -18,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
-use crate::trace::{Trace, TraceRecord};
+use crate::trace::{Record, Trace};
 
 /// Metadata of one stored journey.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,7 +136,7 @@ impl TraceStore {
         )
         .map_err(Error::from)?;
         for r in trace.records() {
-            writer.append(&to_store_record(r)).map_err(Error::from)?;
+            writer.append(r).map_err(Error::from)?;
         }
         writer.finish().map_err(Error::from)?;
         self.index.push(JourneyMeta {
@@ -167,71 +166,35 @@ impl TraceStore {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidScenario`] for unknown names and propagates
-    /// I/O/format failures.
+    /// Returns [`Error::InvalidScenario`] for unknown names,
+    /// [`Error::Format`] for index entries that are not `.ivns` files, and
+    /// propagates I/O/format failures.
     pub fn load(&self, name: &str) -> Result<Trace> {
-        let meta = self
-            .journey(name)
-            .ok_or_else(|| Error::InvalidScenario(format!("unknown journey {name:?}")))?;
-        let path = self.root.join(&meta.file);
-        let ext = extension(&meta.file);
-        if ext.eq_ignore_ascii_case(ivnt_store::FILE_EXTENSION) {
-            let mut reader = ivnt_store::StoreReader::open(&path).map_err(Error::from)?;
-            let records = reader.read_all().map_err(Error::from)?;
-            Ok(Trace::from_records(
-                records.into_iter().map(from_store_record).collect(),
-            ))
-        } else if ext.eq_ignore_ascii_case("csv") {
-            read_csv_trace(BufReader::new(File::open(&path)?))
-        } else if ext.eq_ignore_ascii_case(LEGACY_EXTENSION) {
-            // Legacy sequential binary journeys keep loading unchanged.
-            Trace::read_from(BufReader::new(File::open(&path)?))
-        } else {
-            // Refusing beats feeding an arbitrary file to the legacy binary
-            // decoder and surfacing its malformed-trace error.
-            Err(Error::Format(format!(
-                "journey file {:?} has unsupported extension {ext:?} \
-                 (expected .{}, .csv or .{LEGACY_EXTENSION})",
-                meta.file,
-                ivnt_store::FILE_EXTENSION
-            )))
-        }
+        let mut reader = self.open_journey(name)?;
+        Ok(Trace::from_records(reader.read_all().map_err(Error::from)?))
     }
 
     /// Loads the records of a journey within `[from_s, to_s)`.
     ///
-    /// For `.ivns` journeys the window is pushed into the store scan as a
-    /// zone-map predicate, so chunks outside the window are skipped
-    /// without being read; other formats fall back to load-then-filter.
+    /// The window is pushed into the store scan as a zone-map predicate,
+    /// so chunks outside the window are skipped without being read.
     ///
     /// # Errors
     ///
     /// Same conditions as [`TraceStore::load`].
     pub fn load_range(&self, name: &str, from_s: f64, to_s: f64) -> Result<Trace> {
-        let meta = self
-            .journey(name)
-            .ok_or_else(|| Error::InvalidScenario(format!("unknown journey {name:?}")))?;
-        let in_window = |r: &TraceRecord| {
-            let t = r.timestamp_s();
-            t >= from_s && t < to_s
-        };
-        if is_store_file(&meta.file) && to_s > from_s {
-            // Conservative µs bounds around the f64-second window; the
-            // exact boundary condition is re-checked per row.
-            let from_us = (from_s.max(0.0) * 1e6).floor() as u64;
-            let to_us = (to_s.max(0.0) * 1e6).ceil() as u64;
-            let mut reader =
-                ivnt_store::StoreReader::open(self.root.join(&meta.file)).map_err(Error::from)?;
-            let pred = ivnt_store::Predicate::all().with_time_range_us(from_us, to_us);
-            let mut records = Vec::new();
-            reader.scan::<Error, _>(&pred, |group| {
-                records.extend(group.into_iter().map(from_store_record).filter(&in_window));
-                Ok(())
-            })?;
-            return Ok(Trace::from_records(records));
-        }
-        let full = self.load(name)?;
-        Ok(full.into_iter().filter(in_window).collect())
+        let mut reader = self.open_journey(name)?;
+        let mut records = Vec::new();
+        reader.scan::<Error, _>(&window_predicate(from_s, to_s), |group| {
+            // The µs predicate is conservative around the f64-second
+            // window; the exact boundary condition is re-checked per row.
+            records.extend(group.into_iter().filter(|r| {
+                let t = r.timestamp_s();
+                t >= from_s && t < to_s
+            }));
+            Ok(())
+        })?;
+        Ok(Trace::from_records(records))
     }
 
     /// Loads several journeys merged into one time-sorted trace (the
@@ -270,9 +233,8 @@ impl TraceStore {
         self.write_index()
     }
 
-    /// Scan statistics for one `.ivns` journey under a time window — how
-    /// many chunks the zone maps pruned. Returns `None` for legacy
-    /// formats, which have no chunk index.
+    /// Scan statistics for one journey under a time window — how many
+    /// chunks the zone maps pruned.
     ///
     /// # Errors
     ///
@@ -282,20 +244,28 @@ impl TraceStore {
         name: &str,
         from_s: f64,
         to_s: f64,
-    ) -> Result<Option<ivnt_store::ScanStats>> {
+    ) -> Result<ivnt_store::ScanStats> {
+        let mut reader = self.open_journey(name)?;
+        reader.scan::<Error, _>(&window_predicate(from_s, to_s), |_| Ok(()))
+    }
+
+    /// Opens the `.ivns` file of a journey.
+    fn open_journey(&self, name: &str) -> Result<ivnt_store::StoreReader<BufReader<File>>> {
         let meta = self
             .journey(name)
             .ok_or_else(|| Error::InvalidScenario(format!("unknown journey {name:?}")))?;
-        if !is_store_file(&meta.file) {
-            return Ok(None);
+        // Extensions compare case-insensitively: capture tooling on
+        // case-preserving filesystems produces `TRIP.IVNS` as readily as
+        // `trip.ivns`.
+        let ext = meta.file.rsplit_once('.').map_or("", |(_, ext)| ext);
+        if !ext.eq_ignore_ascii_case(ivnt_store::FILE_EXTENSION) {
+            return Err(Error::Format(format!(
+                "journey file {:?} has unsupported extension {ext:?} (expected .{})",
+                meta.file,
+                ivnt_store::FILE_EXTENSION
+            )));
         }
-        let from_us = (from_s.max(0.0) * 1e6).floor() as u64;
-        let to_us = (to_s.max(0.0) * 1e6).ceil() as u64;
-        let mut reader =
-            ivnt_store::StoreReader::open(self.root.join(&meta.file)).map_err(Error::from)?;
-        let pred = ivnt_store::Predicate::all().with_time_range_us(from_us, to_us);
-        let stats = reader.scan::<Error, _>(&pred, |_| Ok(()))?;
-        Ok(Some(stats))
+        ivnt_store::StoreReader::open(self.root.join(&meta.file)).map_err(Error::from)
     }
 
     fn write_index(&self) -> Result<()> {
@@ -314,39 +284,21 @@ impl TraceStore {
     }
 }
 
-/// Extension of the legacy sequential binary trace format.
-const LEGACY_EXTENSION: &str = "ivnt";
-
-fn extension(file: &str) -> &str {
-    file.rsplit_once('.').map(|(_, ext)| ext).unwrap_or("")
+/// Conservative µs bounds around an f64-second window, as a store
+/// predicate.
+fn window_predicate(from_s: f64, to_s: f64) -> ivnt_store::Predicate {
+    let from_us = (from_s.max(0.0) * 1e6).floor() as u64;
+    let to_us = (to_s.max(0.0) * 1e6).ceil() as u64;
+    ivnt_store::Predicate::all().with_time_range_us(from_us, to_us)
 }
 
-/// Whether `file` is a chunked columnar store file. Extensions compare
-/// case-insensitively: capture tooling on case-preserving filesystems
-/// produces `TRIP.IVNS` as readily as `trip.ivns`.
-fn is_store_file(file: &str) -> bool {
-    extension(file).eq_ignore_ascii_case(ivnt_store::FILE_EXTENSION)
-}
-
-/// Converts a simulator trace record into its store-layer twin.
-pub fn to_store_record(r: &TraceRecord) -> ivnt_store::Record {
-    ivnt_store::Record {
-        timestamp_us: r.timestamp_us,
-        bus: r.bus.clone(),
-        message_id: r.message_id,
-        payload: r.payload.clone(),
-        protocol: r.protocol,
-    }
-}
-
-fn from_store_record(r: ivnt_store::Record) -> TraceRecord {
-    TraceRecord {
-        timestamp_us: r.timestamp_us,
-        bus: r.bus,
-        message_id: r.message_id,
-        payload: r.payload,
-        protocol: r.protocol,
-    }
+/// Returns a copy of `r`.
+///
+/// Traces and stores share one record type, so nothing in the workspace
+/// converts between them; this stays only because the `perfbench` package
+/// calls it.
+pub fn to_store_record(r: &Record) -> Record {
+    r.clone()
 }
 
 /// Parses a raw-trace CSV (`t,l,b_id,m_id,m_info`) into a [`Trace`].
@@ -423,7 +375,7 @@ pub fn read_csv_trace<R: Read>(reader: R) -> Result<Trace> {
                 )))
             }
         };
-        records.push(TraceRecord {
+        records.push(Record {
             timestamp_us: (t * 1e6).round() as u64,
             bus,
             message_id: mid,
@@ -572,45 +524,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_binary_journeys_still_load() {
-        let root = temp_store("legacy");
-        let trace = sample_trace(9);
-        fs::create_dir_all(&root).unwrap();
-        // A repository written before the columnar format: .ivnt file plus
-        // a hand-rolled index line.
-        let f = File::create(root.join("old.ivnt")).unwrap();
-        trace.write_to(std::io::BufWriter::new(f)).unwrap();
-        fs::write(
-            root.join(INDEX_FILE),
-            format!(
-                "old|{}|{}|old.ivnt\n",
-                trace.len(),
-                (trace.duration_s() * 1e6) as u64
-            ),
-        )
-        .unwrap();
-        let store = TraceStore::open(&root).unwrap();
-        assert_eq!(store.load("old").unwrap(), trace);
-        let slice = store.load_range("old", 0.2, 0.4).unwrap();
-        assert!(slice.iter().all(|r| (0.2..0.4).contains(&r.timestamp_s())));
-        let _ = fs::remove_dir_all(root);
-    }
-
-    #[test]
     fn csv_journeys_import_and_load() {
         let root = temp_store("csv");
         let trace = sample_trace(5);
         // Render the trace as a raw-trace CSV, as external tooling would.
         let schema = ivnt_store::schema::raw_trace_schema();
-        let batch = ivnt_store::schema::records_to_batch(
-            schema.clone(),
-            &trace
-                .records()
-                .iter()
-                .map(to_store_record)
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let batch = ivnt_store::schema::records_to_batch(schema.clone(), trace.records()).unwrap();
         let frame = ivnt_frame::frame::DataFrame::from_partitions(schema, vec![batch]).unwrap();
         let mut csv = Vec::new();
         ivnt_frame::csv::write_csv(&frame, &mut csv).unwrap();
@@ -621,30 +540,14 @@ mod tests {
             .import_csv_journey("imported", csv.as_slice())
             .unwrap();
         assert_eq!(store.load("imported").unwrap(), trace);
-
-        // Fallback path: a .csv file referenced directly by the index.
-        fs::write(root.join("raw.csv"), &csv).unwrap();
-        fs::write(
-            root.join(INDEX_FILE),
-            format!(
-                "imported|{}|{}|imported.ivns\nraw|{}|{}|raw.csv\n",
-                trace.len(),
-                (trace.duration_s() * 1e6) as u64,
-                trace.len(),
-                (trace.duration_s() * 1e6) as u64
-            ),
-        )
-        .unwrap();
-        let store = TraceStore::open(&root).unwrap();
-        assert_eq!(store.load("raw").unwrap(), trace);
+        assert!(store.journey("imported").unwrap().file.ends_with(".ivns"));
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
     fn uppercase_store_extension_loads() {
         // Case-preserving filesystems hand back `TRIP.IVNS` as readily as
-        // `trip.ivns`; the dispatcher must not fall through to the legacy
-        // binary decoder.
+        // `trip.ivns`; neither may be refused as an unsupported extension.
         let root = temp_store("upper-ext");
         fs::create_dir_all(&root).unwrap();
         let trace = sample_trace(11);
@@ -654,7 +557,7 @@ mod tests {
         )
         .unwrap();
         for r in trace.records() {
-            writer.append(&to_store_record(r)).unwrap();
+            writer.append(r).unwrap();
         }
         writer.finish().unwrap();
         fs::write(
@@ -668,22 +571,31 @@ mod tests {
         .unwrap();
         let store = TraceStore::open(&root).unwrap();
         assert_eq!(store.load("trip").unwrap(), trace);
-        assert!(store.range_scan_stats("trip", 0.0, 0.1).unwrap().is_some());
+        assert!(store.range_scan_stats("trip", 0.0, 0.1).is_ok());
         let _ = fs::remove_dir_all(root);
     }
 
     #[test]
     fn unknown_extension_is_a_typed_error() {
+        // Only `.ivns` journeys load; the retired sequential `.ivnt` format
+        // and CSV files referenced directly are refused like any other.
         let root = temp_store("unknown-ext");
         fs::create_dir_all(&root).unwrap();
-        fs::write(root.join("trip.bin"), b"not a trace").unwrap();
-        fs::write(root.join(INDEX_FILE), "trip|1|1000000|trip.bin\n").unwrap();
-        let store = TraceStore::open(&root).unwrap();
-        let err = store.load("trip").unwrap_err();
-        assert!(
-            matches!(err, Error::Format(ref m) if m.contains("extension")),
-            "{err}"
-        );
+        for file in ["trip.bin", "trip.ivnt", "trip.csv"] {
+            fs::write(root.join(file), b"not a trace").unwrap();
+            fs::write(root.join(INDEX_FILE), format!("trip|1|1000000|{file}\n")).unwrap();
+            let store = TraceStore::open(&root).unwrap();
+            for err in [
+                store.load("trip").unwrap_err(),
+                store.load_range("trip", 0.0, 1.0).unwrap_err(),
+                store.range_scan_stats("trip", 0.0, 1.0).unwrap_err(),
+            ] {
+                assert!(
+                    matches!(err, Error::Format(ref m) if m.contains("extension")),
+                    "{file}: {err}"
+                );
+            }
+        }
         let _ = fs::remove_dir_all(root);
     }
 
@@ -697,9 +609,7 @@ mod tests {
         if trace.len() > 2 * 1024 * 32 {
             // Only multi-group traces can skip on a time window (groups
             // are clustered internally but laid out in time order).
-            assert!(stats.unwrap().chunks_skipped > 0);
-        } else {
-            assert!(stats.is_some());
+            assert!(stats.chunks_skipped > 0);
         }
         let _ = fs::remove_dir_all(root);
     }

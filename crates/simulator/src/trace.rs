@@ -1,49 +1,18 @@
 //! The recorded trace: the paper's byte sequence `K_b`.
 
-use std::io::{Read, Write};
-use std::sync::Arc;
+pub use ivnt_store::Record;
 
-use ivnt_protocol::message::Protocol;
-
-use crate::error::{Error, Result};
-
-/// One recorded byte tuple `k_b = (t, l, b_id, m_id, m_info)`.
-///
-/// `info` carries the protocol-specific message fields the paper calls
-/// `m_info` (protocol family and DLC — enough for protocol-specific
-/// translation).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRecord {
-    /// Timestamp in microseconds since recording start (`t`).
-    pub timestamp_us: u64,
-    /// Channel identifier (`b_id`), shared across records.
-    pub bus: Arc<str>,
-    /// Message identifier on that channel (`m_id`).
-    pub message_id: u32,
-    /// Raw payload bytes (`l`).
-    pub payload: Vec<u8>,
-    /// Protocol family the frame used (`m_info`).
-    pub protocol: Protocol,
-}
-
-impl TraceRecord {
-    /// Timestamp in seconds.
-    pub fn timestamp_s(&self) -> f64 {
-        self.timestamp_us as f64 / 1e6
-    }
-}
-
-/// An ordered sequence of [`TraceRecord`]s — the raw trace `K_b`.
+/// An ordered sequence of [`Record`]s — the raw trace `K_b`.
 ///
 /// # Examples
 ///
 /// ```
-/// use ivnt_simulator::trace::{Trace, TraceRecord};
+/// use ivnt_simulator::trace::{Record, Trace};
 /// use ivnt_protocol::message::Protocol;
 /// use std::sync::Arc;
 ///
 /// let mut trace = Trace::new();
-/// trace.push(TraceRecord {
+/// trace.push(Record {
 ///     timestamp_us: 2_000_000,
 ///     bus: Arc::from("FC"),
 ///     message_id: 3,
@@ -54,10 +23,8 @@ impl TraceRecord {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
-    records: Vec<TraceRecord>,
+    records: Vec<Record>,
 }
-
-const MAGIC: &[u8; 5] = b"IVNT1";
 
 impl Trace {
     /// Creates an empty trace.
@@ -66,17 +33,17 @@ impl Trace {
     }
 
     /// Creates a trace from records (kept in the given order).
-    pub fn from_records(records: Vec<TraceRecord>) -> Trace {
+    pub fn from_records(records: Vec<Record>) -> Trace {
         Trace { records }
     }
 
     /// Appends a record.
-    pub fn push(&mut self, record: TraceRecord) {
+    pub fn push(&mut self, record: Record) {
         self.records.push(record);
     }
 
     /// The records.
-    pub fn records(&self) -> &[TraceRecord] {
+    pub fn records(&self) -> &[Record] {
         &self.records
     }
 
@@ -91,7 +58,7 @@ impl Trace {
     }
 
     /// Iterates over the records.
-    pub fn iter(&self) -> std::slice::Iter<'_, TraceRecord> {
+    pub fn iter(&self) -> std::slice::Iter<'_, Record> {
         self.records.iter()
     }
 
@@ -127,99 +94,11 @@ impl Trace {
             _ => 0.0,
         }
     }
-
-    /// Serializes the trace to a compact binary stream.
-    ///
-    /// Layout: magic `IVNT1`, record count (u64 LE), then per record:
-    /// `t(u64) | proto(u8) | bus_len(u8) bus | m_id(u32) | payload_len(u16) payload`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; remind: a `&mut` reference to any writer can
-    /// be passed.
-    pub fn write_to<W: Write>(&self, mut writer: W) -> Result<()> {
-        writer.write_all(MAGIC)?;
-        writer.write_all(&(self.records.len() as u64).to_le_bytes())?;
-        for r in &self.records {
-            writer.write_all(&r.timestamp_us.to_le_bytes())?;
-            writer.write_all(&[protocol_tag(r.protocol)])?;
-            let bus = r.bus.as_bytes();
-            if bus.len() > u8::MAX as usize {
-                return Err(Error::Format("bus id longer than 255 bytes".into()));
-            }
-            writer.write_all(&[bus.len() as u8])?;
-            writer.write_all(bus)?;
-            writer.write_all(&r.message_id.to_le_bytes())?;
-            if r.payload.len() > u16::MAX as usize {
-                return Err(Error::Format("payload longer than 65535 bytes".into()));
-            }
-            writer.write_all(&(r.payload.len() as u16).to_le_bytes())?;
-            writer.write_all(&r.payload)?;
-        }
-        Ok(())
-    }
-
-    /// Deserializes a trace written by [`Trace::write_to`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Format`] for bad magic or malformed records and
-    /// propagates I/O failures. A `&mut` reference to any reader can be
-    /// passed.
-    pub fn read_from<R: Read>(mut reader: R) -> Result<Trace> {
-        let mut magic = [0u8; 5];
-        reader.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(Error::Format("bad magic".into()));
-        }
-        let mut u64buf = [0u8; 8];
-        reader.read_exact(&mut u64buf)?;
-        let count = u64::from_le_bytes(u64buf) as usize;
-        let mut records = Vec::with_capacity(count.min(1 << 20));
-        let mut bus_cache: std::collections::HashMap<Vec<u8>, Arc<str>> = Default::default();
-        for _ in 0..count {
-            reader.read_exact(&mut u64buf)?;
-            let timestamp_us = u64::from_le_bytes(u64buf);
-            let mut b1 = [0u8; 1];
-            reader.read_exact(&mut b1)?;
-            let protocol = protocol_from_tag(b1[0])?;
-            reader.read_exact(&mut b1)?;
-            let mut bus_bytes = vec![0u8; b1[0] as usize];
-            reader.read_exact(&mut bus_bytes)?;
-            let bus = match bus_cache.get(&bus_bytes) {
-                Some(b) => b.clone(),
-                None => {
-                    let s: Arc<str> = Arc::from(
-                        std::str::from_utf8(&bus_bytes)
-                            .map_err(|_| Error::Format("bus id not UTF-8".into()))?,
-                    );
-                    bus_cache.insert(bus_bytes.clone(), s.clone());
-                    s
-                }
-            };
-            let mut u32buf = [0u8; 4];
-            reader.read_exact(&mut u32buf)?;
-            let message_id = u32::from_le_bytes(u32buf);
-            let mut u16buf = [0u8; 2];
-            reader.read_exact(&mut u16buf)?;
-            let len = u16::from_le_bytes(u16buf) as usize;
-            let mut payload = vec![0u8; len];
-            reader.read_exact(&mut payload)?;
-            records.push(TraceRecord {
-                timestamp_us,
-                bus,
-                message_id,
-                payload,
-                protocol,
-            });
-        }
-        Ok(Trace { records })
-    }
 }
 
 impl IntoIterator for Trace {
-    type Item = TraceRecord;
-    type IntoIter = std::vec::IntoIter<TraceRecord>;
+    type Item = Record;
+    type IntoIter = std::vec::IntoIter<Record>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.records.into_iter()
@@ -227,53 +106,37 @@ impl IntoIterator for Trace {
 }
 
 impl<'a> IntoIterator for &'a Trace {
-    type Item = &'a TraceRecord;
-    type IntoIter = std::slice::Iter<'a, TraceRecord>;
+    type Item = &'a Record;
+    type IntoIter = std::slice::Iter<'a, Record>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.records.iter()
     }
 }
 
-impl FromIterator<TraceRecord> for Trace {
-    fn from_iter<I: IntoIterator<Item = TraceRecord>>(iter: I) -> Self {
+impl FromIterator<Record> for Trace {
+    fn from_iter<I: IntoIterator<Item = Record>>(iter: I) -> Self {
         Trace {
             records: iter.into_iter().collect(),
         }
     }
 }
 
-impl Extend<TraceRecord> for Trace {
-    fn extend<I: IntoIterator<Item = TraceRecord>>(&mut self, iter: I) {
+impl Extend<Record> for Trace {
+    fn extend<I: IntoIterator<Item = Record>>(&mut self, iter: I) {
         self.records.extend(iter);
     }
-}
-
-fn protocol_tag(p: Protocol) -> u8 {
-    match p {
-        Protocol::Can => 0,
-        Protocol::Lin => 1,
-        Protocol::SomeIp => 2,
-        Protocol::CanFd => 3,
-    }
-}
-
-fn protocol_from_tag(tag: u8) -> Result<Protocol> {
-    Ok(match tag {
-        0 => Protocol::Can,
-        1 => Protocol::Lin,
-        2 => Protocol::SomeIp,
-        3 => Protocol::CanFd,
-        other => return Err(Error::Format(format!("unknown protocol tag {other}"))),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
-    fn record(t: u64, bus: &str, id: u32) -> TraceRecord {
-        TraceRecord {
+    use ivnt_protocol::message::Protocol;
+
+    fn record(t: u64, bus: &str, id: u32) -> Record {
+        Record {
             timestamp_us: t,
             bus: Arc::from(bus),
             message_id: id,
@@ -305,47 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let t = Trace::from_records(vec![
-            record(5, "FC", 3),
-            TraceRecord {
-                timestamp_us: 9,
-                bus: Arc::from("K-LIN"),
-                message_id: 11,
-                payload: vec![],
-                protocol: Protocol::Lin,
-            },
-            TraceRecord {
-                timestamp_us: 12,
-                bus: Arc::from("ETH"),
-                message_id: 0x00D4_0001,
-                payload: vec![1; 40],
-                protocol: Protocol::SomeIp,
-            },
-        ]);
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).unwrap();
-        let parsed = Trace::read_from(buf.as_slice()).unwrap();
-        assert_eq!(parsed, t);
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let err = Trace::read_from(&b"NOPE!"[..]).unwrap_err();
-        assert!(matches!(err, Error::Io(_) | Error::Format(_)));
-        let err = Trace::read_from(&b"XXXXX\0\0\0\0\0\0\0\0"[..]).unwrap_err();
-        assert!(matches!(err, Error::Format(_)));
-    }
-
-    #[test]
-    fn truncated_stream_rejected() {
-        let t = Trace::from_records(vec![record(5, "FC", 3)]);
-        let mut buf = Vec::new();
-        t.write_to(&mut buf).unwrap();
-        assert!(Trace::read_from(&buf[..buf.len() - 1]).is_err());
-    }
-
-    #[test]
     fn collection_traits() {
         let t: Trace = vec![record(1, "A", 1)].into_iter().collect();
         assert_eq!(t.len(), 1);
@@ -354,10 +176,5 @@ mod tests {
         assert_eq!(t2.len(), 1);
         assert_eq!((&t2).into_iter().count(), 1);
         assert_eq!(t2.into_iter().count(), 1);
-    }
-
-    #[test]
-    fn timestamp_seconds() {
-        assert_eq!(record(2_500_000, "A", 1).timestamp_s(), 2.5);
     }
 }

@@ -1,9 +1,10 @@
-//! The store's record type — the paper's byte tuple `k_b`.
+//! The record type of the raw trace — the paper's byte tuple `k_b`.
 //!
-//! Structurally identical to `ivnt_simulator::trace::TraceRecord`, but
-//! defined here so the store sits *below* the simulator in the dependency
-//! graph (the simulator's journey repository writes this format; the
-//! pipeline reads it back without ever seeing the simulator).
+//! The one representation of a raw frame from simulator to store to
+//! kernel. It is defined here so the store sits *below* the simulator in
+//! the dependency graph: the simulator's traces hold it, the journey
+//! repository writes it, and the pipeline reads it back without ever
+//! seeing the simulator.
 
 use std::sync::Arc;
 
@@ -33,7 +34,7 @@ impl Record {
     }
 }
 
-/// On-disk tag of a protocol family (shared with the legacy trace format).
+/// On-disk tag of a protocol family in `.ivns` chunks.
 pub fn protocol_tag(p: Protocol) -> u8 {
     match p {
         Protocol::Can => 0,

@@ -41,10 +41,12 @@ pub fn raw_trace_schema() -> Arc<Schema> {
 
 /// Converts one batch of records into a raw-trace [`Batch`], column-wise.
 ///
-/// Cell values are produced exactly as the row-wise trace conversion does
-/// (seconds as `µs / 1e6`, protocol display names, shared bus `Arc`s), so
-/// frames built from store scans are bit-identical to frames built from
-/// in-memory traces.
+/// This is the one conversion from records to the tabular `K_b`: store
+/// scans and in-memory traces (`ivnt_core::tabular::trace_to_frame`) both
+/// go through it, so their frames agree by construction. Cells are
+/// seconds as `µs / 1e6`, protocol display names and the records' shared
+/// bus `Arc`s (downstream operators exploit the pointer identity of
+/// repeated bus names).
 ///
 /// # Errors
 ///

@@ -149,14 +149,15 @@ proptest! {
     }
 
     /// Damaged files yield typed errors, never panics and never silently
-    /// wrong data: any single-byte flip or truncation is either caught at
-    /// open or at scan time.
+    /// wrong data: any truncation, single-byte flip or file of arbitrary
+    /// bytes is either caught at open or at scan time.
     #[test]
     fn corruption_never_panics(
         raw in prop::collection::vec(raw_record_strategy(), 1..150),
         chunk_rows in 1usize..32,
-        damage_kind in 0u8..2,
+        damage_kind in 0u8..3,
         damage_at in 0usize..10_000,
+        noise in prop::collection::vec(any::<u8>(), 0..600),
     ) {
         let records = build_records(raw);
         let mut bytes = write_store(&records, WriterOptions {
@@ -164,13 +165,17 @@ proptest! {
             chunks_per_group: 2,
             cluster: true,
         });
-        if damage_kind == 0 {
-            // Truncate somewhere strictly inside the file.
-            let cut = damage_at % bytes.len().max(1);
-            bytes.truncate(cut);
-        } else {
-            let at = damage_at % bytes.len();
-            bytes[at] ^= 0x5A;
+        match damage_kind {
+            0 => {
+                // Truncate somewhere strictly inside the file.
+                let cut = damage_at % bytes.len().max(1);
+                bytes.truncate(cut);
+            }
+            1 => {
+                let at = damage_at % bytes.len();
+                bytes[at] ^= 0x5A;
+            }
+            _ => bytes = noise,
         }
         match StoreReader::from_reader(Cursor::new(bytes)) {
             Err(_) => {}

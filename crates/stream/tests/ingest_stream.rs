@@ -7,7 +7,6 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use ivnt_simulator::prelude::*;
-use ivnt_simulator::store::to_store_record;
 use ivnt_store::{open_recovered, AppendOptions, AppendWriter, Record, StoreReader, WriterOptions};
 use ivnt_stream::{
     format_line, ingest, parse_line, FrameSource, IngestOptions, LineSource, SimulatorSource,
@@ -41,13 +40,7 @@ fn append_options() -> AppendOptions {
 
 #[test]
 fn frame_line_round_trips() {
-    let records: Vec<Record> = dataset()
-        .trace
-        .records()
-        .iter()
-        .take(500)
-        .map(to_store_record)
-        .collect();
+    let records: Vec<Record> = dataset().trace.iter().take(500).cloned().collect();
     for r in &records {
         let line = format_line(r);
         let back = parse_line(&line).expect("parse").expect("record");
@@ -73,13 +66,7 @@ fn parse_line_rejects_malformed_input() {
 
 #[test]
 fn line_source_reads_a_textual_stream() {
-    let records: Vec<Record> = dataset()
-        .trace
-        .records()
-        .iter()
-        .take(200)
-        .map(to_store_record)
-        .collect();
+    let records: Vec<Record> = dataset().trace.iter().take(200).cloned().collect();
     let mut text = String::from("# header comment\n\n");
     for r in &records {
         text.push_str(&format_line(r));
@@ -99,13 +86,7 @@ fn line_source_reads_a_textual_stream() {
 
 #[test]
 fn tcp_source_reassembles_lines_across_packets() {
-    let records: Vec<Record> = dataset()
-        .trace
-        .records()
-        .iter()
-        .take(150)
-        .map(to_store_record)
-        .collect();
+    let records: Vec<Record> = dataset().trace.iter().take(150).cloned().collect();
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let payload: Vec<u8> = {
@@ -142,7 +123,7 @@ fn tcp_source_reassembles_lines_across_packets() {
 #[test]
 fn ingest_seals_a_store_identical_to_the_source() {
     let data = dataset();
-    let records: Vec<Record> = data.trace.records().iter().map(to_store_record).collect();
+    let records: Vec<Record> = data.trace.records().to_vec();
     let path = temp_path("seal");
     let writer = AppendWriter::create(&path, append_options()).expect("writer");
     let stop = StopFlag::new();

@@ -35,7 +35,7 @@ fn rules_from_matrix() -> RuleSet {
 }
 
 fn trace() -> Trace {
-    let rec = |t_ms: u64, id: u32, payload: Vec<u8>| TraceRecord {
+    let rec = |t_ms: u64, id: u32, payload: Vec<u8>| Record {
         timestamp_us: t_ms * 1000,
         bus: Arc::from("PT"),
         message_id: id,

@@ -33,7 +33,7 @@ fn empty_trace_produces_empty_output() {
 #[test]
 fn trace_with_only_irrelevant_messages() {
     let n = network();
-    let trace = Trace::from_records(vec![TraceRecord {
+    let trace = Trace::from_records(vec![Record {
         timestamp_us: 0,
         bus: Arc::from("UNKNOWN"),
         message_id: 9999,
@@ -52,7 +52,7 @@ fn trace_with_only_irrelevant_messages() {
 #[test]
 fn single_message_trace() {
     let n = network();
-    let trace = Trace::from_records(vec![TraceRecord {
+    let trace = Trace::from_records(vec![Record {
         timestamp_us: 2_000_000,
         bus: Arc::from("FC"),
         message_id: 3,
@@ -82,7 +82,7 @@ fn all_payloads_corrupt_still_flows() {
     // pipeline must flag the instances rather than die.
     let trace = Trace::from_records(
         (0..20)
-            .map(|i| TraceRecord {
+            .map(|i| Record {
                 timestamp_us: i * 100_000,
                 bus: Arc::from("FC"),
                 message_id: 3,
@@ -128,14 +128,14 @@ fn zero_duration_trace_classifies_low_rate() {
     let n = network();
     // Two instances at the identical timestamp: duration 0, rate undefined.
     let trace = Trace::from_records(vec![
-        TraceRecord {
+        Record {
             timestamp_us: 5_000_000,
             bus: Arc::from("FC"),
             message_id: 3,
             payload: vec![0x5A, 0x00, 0x01, 0x00],
             protocol: Protocol::Can,
         },
-        TraceRecord {
+        Record {
             timestamp_us: 5_000_000,
             bus: Arc::from("FC"),
             message_id: 3,

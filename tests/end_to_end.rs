@@ -1,11 +1,14 @@
 //! End-to-end integration: full vehicle, full pipeline, downstream analyses.
 
+use std::io::Cursor;
+
 use ivnt::analysis::anomaly::{outlier_cells, rare_values, AnomalyConfig};
 use ivnt::analysis::apriori::{mine_rules, transactions_from_state, AprioriConfig};
 use ivnt::analysis::transition::TransitionGraph;
 use ivnt::core::prelude::*;
 use ivnt::simulator::functions;
 use ivnt::simulator::prelude::*;
+use ivnt::store::{StoreReader, StoreWriter, WriterOptions};
 
 fn full_vehicle() -> NetworkModel {
     let mut n = NetworkModel::new(ivnt::protocol::Catalog::new());
@@ -115,9 +118,15 @@ fn trace_persistence_roundtrips_through_pipeline() {
     let trace = network
         .simulate(5.0, 33, &FaultPlan::new())
         .expect("simulation runs");
-    let mut buf = Vec::new();
-    trace.write_to(&mut buf).expect("serialize");
-    let reloaded = Trace::read_from(buf.as_slice()).expect("deserialize");
+    let mut writer = StoreWriter::new(Vec::new(), WriterOptions::default()).expect("writer");
+    for r in trace.records() {
+        writer.append(r).expect("serialize");
+    }
+    let bytes = writer.finish().expect("serialize");
+    let reloaded = StoreReader::from_reader(Cursor::new(bytes))
+        .and_then(|mut reader| reader.read_all())
+        .map(Trace::from_records)
+        .expect("deserialize");
     assert_eq!(reloaded, trace);
 
     let pipeline = Pipeline::new(

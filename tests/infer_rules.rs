@@ -13,7 +13,7 @@ use ivnt::core::prelude::*;
 use ivnt::core::rules::RuleSet;
 use ivnt::infer::{infer_trace, SignalClass};
 use ivnt::protocol::{Protocol, RawKind, SignalSpec};
-use ivnt::simulator::{Trace, TraceRecord};
+use ivnt::simulator::{Record, Trace};
 
 /// Two full-range 8-bit wrapping fields at bytes 0 and 4 of one CAN
 /// message, separated by constant padding — a layout inference recovers
@@ -25,7 +25,7 @@ fn counter_trace(rows: u64) -> Trace {
     let bus: Arc<str> = Arc::from("B");
     let mut trace = Trace::new();
     for i in 0..rows {
-        trace.push(TraceRecord {
+        trace.push(Record {
             timestamp_us: i * 1_000,
             bus: Arc::clone(&bus),
             message_id: 0x77,

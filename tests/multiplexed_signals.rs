@@ -14,7 +14,7 @@ use ivnt::simulator::prelude::*;
 /// A diagnostic message: byte 0 selects the page; bytes 1..3 carry either
 /// oil data (page 0) or coolant data (page 1).
 fn mux_trace() -> Trace {
-    let rec = |t_ms: u64, page: u8, value: u16| TraceRecord {
+    let rec = |t_ms: u64, page: u8, value: u16| Record {
         timestamp_us: t_ms * 1000,
         bus: Arc::from("PT"),
         message_id: 0x60,

@@ -1,10 +1,13 @@
 //! Property tests over the whole pipeline: invariants that must hold for
 //! arbitrary (small) generated networks and traces.
 
+use std::io::Cursor;
+
 use ivnt::core::prelude::*;
 use ivnt::core::tabular::columns as c;
 use ivnt::simulator::prelude::*;
 use ivnt::simulator::scenario::{generate, DataSetSpec};
+use ivnt::store::{StoreReader, StoreWriter, WriterOptions};
 use proptest::prelude::*;
 
 /// A small randomized data-set spec (shape only; content is seeded).
@@ -166,13 +169,19 @@ proptest! {
         );
     }
 
-    /// Trace serialization roundtrips for arbitrary generated traces.
+    /// `.ivns` serialization roundtrips for arbitrary generated traces.
     #[test]
     fn trace_roundtrip(spec in arb_spec()) {
         let data = generate(&spec).expect("generate");
-        let mut buf = Vec::new();
-        data.trace.write_to(&mut buf).expect("write");
-        let reloaded = Trace::read_from(buf.as_slice()).expect("read");
+        let mut writer = StoreWriter::new(Vec::new(), WriterOptions::default()).expect("writer");
+        for r in data.trace.records() {
+            writer.append(r).expect("write");
+        }
+        let bytes = writer.finish().expect("write");
+        let reloaded = StoreReader::from_reader(Cursor::new(bytes))
+            .and_then(|mut reader| reader.read_all())
+            .map(Trace::from_records)
+            .expect("read");
         prop_assert_eq!(reloaded, data.trace);
     }
 

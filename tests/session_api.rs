@@ -11,7 +11,6 @@ use ivnt::core::dedup::Dedup;
 use ivnt::core::pipeline::{PipelineOutput, RunOptions};
 use ivnt::core::prelude::*;
 use ivnt::simulator::prelude::*;
-use ivnt::simulator::store::to_store_record;
 use ivnt::store::{StoreReader, StoreWriter, WriterOptions};
 
 /// Metrics subscribers are process-wide, so a pipeline run in one test
@@ -159,7 +158,7 @@ fn store_sources_carry_scan_stats_and_shards_tile_the_store() {
     };
     let mut writer = StoreWriter::create(&path, options).expect("create store");
     for r in data.trace.records() {
-        writer.append(&to_store_record(r)).expect("append");
+        writer.append(r).expect("append");
     }
     writer.finish().expect("finish");
 
