@@ -12,7 +12,9 @@
 //! Recovery is torn-tail tolerant — a truncated or corrupt trailing
 //! entry (the crash was mid-append) is dropped, everything before it
 //! survives. Resuming *rewrites* the file from the recovered entries
-//! rather than appending past a torn tail.
+//! rather than appending past a torn tail; the rewrite goes through
+//! [`ivnt_store::durable::replace`], so a crash during it keeps the old
+//! file and the completed work in it.
 //!
 //! Every entry carries a format byte after its group range, always `1`:
 //! the blobs are compressed batches
@@ -21,10 +23,11 @@
 //! anything else (`0` marked flat batches, no longer produced) fails the
 //! resume with [`Error::Protocol`] instead of being silently dropped.
 
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
+use ivnt_store::durable;
 use ivnt_store::layout::checksum;
 use ivnt_store::varint::{self, Cursor};
 
@@ -120,25 +123,12 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Starts a fresh checkpoint for the job identified by
-    /// `fingerprint` ([`crate::job::JobSpec::fingerprint`]), replacing
-    /// any file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Io`] when the file cannot be created.
-    pub fn create(path: impl AsRef<Path>, fingerprint: u64) -> Result<Checkpoint> {
-        let path = path.as_ref().to_path_buf();
-        let mut writer = BufWriter::new(File::create(&path)?);
-        writer.write_all(MAGIC)?;
-        writer.write_all(&fingerprint.to_le_bytes())?;
-        writer.flush()?;
-        Ok(Checkpoint { writer, path })
-    }
-
-    /// Loads whatever intact entries a previous coordinator left at
-    /// `path`, then rewrites the file from them and returns it open for
-    /// appending. A missing file means a fresh run (no entries).
+    /// Opens the checkpoint of the job identified by `fingerprint`
+    /// ([`crate::job::JobSpec::fingerprint`]) at `path`: loads whatever
+    /// intact entries a previous coordinator left there, rewrites the
+    /// file from them through [`durable::replace`] — a failure part-way
+    /// keeps the old file and every entry in it — and returns it open
+    /// for appending. A missing file means a fresh run (no entries).
     ///
     /// # Errors
     ///
@@ -155,10 +145,16 @@ impl Checkpoint {
             Err(Error::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
-        let mut ckpt = Checkpoint::create(path, fingerprint)?;
-        for e in &entries {
-            ckpt.append(e)?;
-        }
+        durable::replace(path, |w| {
+            w.write_all(MAGIC)?;
+            w.write_all(&fingerprint.to_le_bytes())?;
+            entries.iter().try_for_each(|e| write_entry(w, e))
+        })?;
+        let writer = BufWriter::new(OpenOptions::new().append(true).open(path)?);
+        let ckpt = Checkpoint {
+            writer,
+            path: path.to_path_buf(),
+        };
         Ok((ckpt, entries))
     }
 
@@ -168,11 +164,7 @@ impl Checkpoint {
     ///
     /// Returns [`Error::Io`] when the write fails.
     pub fn append(&mut self, entry: &CheckpointEntry) -> Result<()> {
-        let payload = entry.encode();
-        self.writer
-            .write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.writer.write_all(&payload)?;
-        self.writer.write_all(&checksum(&payload).to_le_bytes())?;
+        write_entry(&mut self.writer, entry)?;
         self.writer.flush()?;
         Ok(())
     }
@@ -183,6 +175,14 @@ impl Checkpoint {
         drop(self.writer);
         std::fs::remove_file(&self.path).ok();
     }
+}
+
+/// Writes one length-prefixed, checksummed entry.
+fn write_entry(w: &mut impl Write, entry: &CheckpointEntry) -> std::io::Result<()> {
+    let payload = entry.encode();
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(&payload)?;
+    w.write_all(&checksum(&payload).to_le_bytes())
 }
 
 /// Reads the intact prefix of a checkpoint file, dropping a torn tail.
@@ -255,8 +255,14 @@ mod tests {
         ckpt.append(&entry(3, 7)).unwrap();
         drop(ckpt);
 
-        let (ckpt, recovered) = Checkpoint::resume_or_create(&path, 42).unwrap();
+        // The resumed file stays open for appending after the rewrite.
+        let (mut ckpt, recovered) = Checkpoint::resume_or_create(&path, 42).unwrap();
         assert_eq!(recovered, vec![entry(0, 3), entry(3, 7)]);
+        ckpt.append(&entry(7, 9)).unwrap();
+        drop(ckpt);
+
+        let (ckpt, recovered) = Checkpoint::resume_or_create(&path, 42).unwrap();
+        assert_eq!(recovered, vec![entry(0, 3), entry(3, 7), entry(7, 9)]);
         ckpt.remove();
         assert!(!path.exists());
     }

@@ -324,7 +324,8 @@ fn coordinator_drops_a_worker_speaking_another_wire_version() {
 fn checkpoint_entry_with_flat_format_byte_fails_resume() {
     let path =
         std::env::temp_dir().join(format!("ivnt-cluster-ckpt-flat-{}.bin", std::process::id()));
-    let mut ckpt = Checkpoint::create(&path, 5).expect("checkpoint");
+    std::fs::remove_file(&path).ok();
+    let (mut ckpt, _) = Checkpoint::resume_or_create(&path, 5).expect("checkpoint");
     ckpt.append(&CheckpointEntry {
         group_start: 0,
         group_end: 2,

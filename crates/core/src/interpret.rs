@@ -447,12 +447,7 @@ fn decode_instance(rule: &Rule, payload: Option<&[u8]>) -> Option<Option<Physica
 pub fn interpret(pre: &DataFrame, u_comb: &RuleSet) -> Result<DataFrame> {
     let rules = rules_frame(u_comb)?;
     // Line 4: K_join = K_pre ⋈ U_comb on (b_id, m_id).
-    let joined = pre.join(
-        &rules,
-        &[c::BUS, c::MESSAGE_ID],
-        &["rule_bus", "rule_mid"],
-        JoinType::Inner,
-    )?;
+    let joined = pre.join(&rules, &[c::BUS, c::MESSAGE_ID], &["rule_bus", "rule_mid"])?;
 
     // Lines 5–6: u1 ∘ u2 per row, vectorized per partition.
     let rule_vec: Arc<Vec<Arc<Rule>>> = Arc::new(u_comb.rules().to_vec());

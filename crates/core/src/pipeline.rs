@@ -116,9 +116,9 @@ impl DomainProfile {
         self
     }
 
-    /// Caps the executor's worker count for this domain's frames, instead
-    /// of mutating the process-wide default (which would leak into
-    /// concurrently running pipelines).
+    /// Caps the executor's worker count for this domain's frames (minimum
+    /// 1). Without a cap, frames use [`Executor::default`], sized to the
+    /// machine's available parallelism.
     pub fn with_workers(mut self, workers: usize) -> DomainProfile {
         self.workers = Some(workers.max(1));
         self

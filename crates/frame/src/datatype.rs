@@ -143,30 +143,6 @@ impl Schema {
         self.index.contains_key(name)
     }
 
-    /// Returns a new schema with `field` appended.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DuplicateColumn`] if the name already exists.
-    pub fn with_field(&self, field: Field) -> Result<Schema> {
-        let mut fields = self.fields.clone();
-        fields.push(field);
-        Schema::new(fields)
-    }
-
-    /// Returns a new schema keeping only `names`, in the given order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ColumnNotFound`] for unknown names.
-    pub fn project(&self, names: &[&str]) -> Result<Schema> {
-        let fields = names
-            .iter()
-            .map(|n| self.field(n).cloned())
-            .collect::<Result<Vec<_>>>()?;
-        Schema::new(fields)
-    }
-
     /// Wraps the schema in an `Arc`.
     pub fn into_shared(self) -> Arc<Schema> {
         Arc::new(self)
@@ -204,22 +180,6 @@ mod tests {
     fn duplicate_names_rejected() {
         let r = Schema::from_pairs([("a", DataType::Int), ("a", DataType::Int)]);
         assert!(matches!(r, Err(Error::DuplicateColumn(_))));
-    }
-
-    #[test]
-    fn project_and_extend() {
-        let s = Schema::from_pairs([
-            ("a", DataType::Int),
-            ("b", DataType::Str),
-            ("c", DataType::Bool),
-        ])
-        .unwrap();
-        let p = s.project(&["c", "a"]).unwrap();
-        assert_eq!(p.len(), 2);
-        assert_eq!(p.fields()[0].name(), "c");
-        let e = s.with_field(Field::new("d", DataType::Float)).unwrap();
-        assert_eq!(e.len(), 4);
-        assert!(s.with_field(Field::new("a", DataType::Float)).is_err());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub enum Error {
     SchemaMismatch(String),
     /// A malformed argument (empty key list, zero partitions, ...).
     InvalidArgument(String),
-    /// Expression evaluation failed (division by zero on ints, bad UDF output, ...).
+    /// A value could not be read or written (malformed CSV cell, I/O failure, ...).
     Eval(String),
 }
 

@@ -25,38 +25,18 @@ use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Global default worker count used by [`parallel_map`] when no explicit
-/// executor is supplied.
-static DEFAULT_WORKERS: OnceLock<RwLock<usize>> = OnceLock::new();
-
-fn default_workers_lock() -> &'static RwLock<usize> {
-    DEFAULT_WORKERS.get_or_init(|| RwLock::new(hardware_threads()))
-}
-
-fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(4)
-}
-
-/// Returns the process-wide default worker count.
+/// The worker count of [`Executor::default`] and the size of the shared
+/// pool: the machine's available parallelism, read once per process.
 pub fn default_workers() -> usize {
-    *default_workers_lock()
-        .read()
-        .expect("default-workers lock poisoned")
-}
-
-/// Sets the process-wide default worker count (minimum 1).
-///
-/// Benchmarks use this to sweep the "cluster size" of the embedded engine.
-/// Prefer explicit [`Executor`]s in tests: this is process-global state.
-pub fn set_default_workers(workers: usize) {
-    *default_workers_lock()
-        .write()
-        .expect("default-workers lock poisoned") = workers.max(1);
+    static DEFAULT_WORKERS: OnceLock<usize> = OnceLock::new();
+    *DEFAULT_WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(4)
+    })
 }
 
 /// One job published to the pool: an erased worker body that cooperating
@@ -121,7 +101,7 @@ static POOL: OnceLock<Pool> = OnceLock::new();
 
 fn pool() -> &'static Pool {
     POOL.get_or_init(|| {
-        let threads = hardware_threads();
+        let threads = default_workers();
         for i in 0..threads {
             std::thread::Builder::new()
                 .name(format!("ivnt-worker-{i}"))
@@ -429,27 +409,6 @@ impl Executor {
     {
         self.map(items, f).into_iter().collect()
     }
-
-    /// By-reference twin of [`Executor::try_map`].
-    pub fn try_map_ref<T, R, E, F>(&self, items: &[T], f: F) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(&T) -> Result<R, E> + Send + Sync,
-    {
-        self.map_ref(items, f).into_iter().collect()
-    }
-}
-
-/// Maps `f` over items with the process-default executor.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Send + Sync,
-{
-    Executor::default().map(items, f)
 }
 
 #[cfg(test)]
@@ -492,14 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn default_workers_settable() {
-        let orig = default_workers();
-        set_default_workers(3);
-        assert_eq!(default_workers(), 3);
-        set_default_workers(orig);
-    }
-
-    #[test]
     fn pool_survives_repeated_jobs() {
         let exec = Executor::new(4);
         for round in 0..50 {
@@ -539,7 +490,7 @@ mod tests {
         let items: Vec<usize> = (0..500).collect();
         for workers in [1usize, 4] {
             let out: Result<Vec<usize>, String> =
-                Executor::new(workers).try_map_ref(&items, |&i| {
+                Executor::new(workers).try_map(items.clone(), |i| {
                     if i == 123 || i == 400 {
                         Err(format!("bad {i}"))
                     } else {

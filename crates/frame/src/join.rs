@@ -11,15 +11,6 @@ use crate::exec::Executor;
 use crate::frame::DataFrame;
 use crate::value::Value;
 
-/// Join flavor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinType {
-    /// Keep only matching rows.
-    Inner,
-    /// Keep all left rows; unmatched right columns become null.
-    Left,
-}
-
 /// Coordinates of a build-side row: (partition, row).
 type RowRef = (u32, u32);
 
@@ -111,8 +102,8 @@ fn build_table(right: &DataFrame, right_key_idx: &[usize], kinds: &[DataType]) -
     }
 }
 
-/// Hash-join implementation: builds a hash table over the (usually smaller)
-/// right side, then probes left partitions in parallel.
+/// Inner hash join: builds a hash table over the (usually smaller) right
+/// side, then probes left partitions in parallel.
 ///
 /// This mirrors a Spark broadcast join, which is exactly the paper's use:
 /// the raw trace `K_pre` (huge, partitioned) is joined with the rule table
@@ -122,7 +113,6 @@ pub(crate) fn hash_join(
     right: &DataFrame,
     left_keys: &[&str],
     right_keys: &[&str],
-    join_type: JoinType,
     exec: Executor,
 ) -> Result<DataFrame> {
     if left_keys.is_empty() || left_keys.len() != right_keys.len() {
@@ -175,7 +165,6 @@ pub(crate) fn hash_join(
             &table,
             &right_parts,
             &right_out_idx,
-            join_type,
             &out_schema,
         )
     });
@@ -184,28 +173,19 @@ pub(crate) fn hash_join(
 }
 
 /// Collects the match coordinates for one left partition: `left_rows[k]` is
-/// the probe row of output row `k` and `right_rows[k]` its build-side hit
-/// (None for an unmatched `Left`-join row).
+/// the probe row of output row `k` and `right_rows[k]` its build-side hit.
+/// Unmatched probe rows emit nothing.
 fn probe_matches(
     lbatch: &Batch,
     left_key_idx: &[usize],
     table: &BuildTable,
-    join_type: JoinType,
-) -> (Vec<usize>, Vec<Option<RowRef>>) {
+) -> (Vec<usize>, Vec<RowRef>) {
     let mut left_rows: Vec<usize> = Vec::new();
-    let mut right_rows: Vec<Option<RowRef>> = Vec::new();
-    let mut emit = |row: usize, hits: Option<&Vec<RowRef>>| match hits {
-        Some(hits) => {
-            for &hit in hits {
-                left_rows.push(row);
-                right_rows.push(Some(hit));
-            }
-        }
-        None => {
-            if join_type == JoinType::Left {
-                left_rows.push(row);
-                right_rows.push(None);
-            }
+    let mut right_rows: Vec<RowRef> = Vec::new();
+    let mut emit = |row: usize, hits: Option<&Vec<RowRef>>| {
+        for &hit in hits.into_iter().flatten() {
+            left_rows.push(row);
+            right_rows.push(hit);
         }
     };
     match table {
@@ -261,7 +241,7 @@ fn gather_right_column(
     right_parts: &[Batch],
     column_idx: usize,
     dtype: DataType,
-    hits: &[Option<RowRef>],
+    hits: &[RowRef],
 ) -> Column {
     macro_rules! gather {
         ($variant:ident, $slice:ident) => {{
@@ -275,7 +255,7 @@ fn gather_right_column(
                 .collect();
             Column::$variant(
                 hits.iter()
-                    .map(|hit| hit.and_then(|(pi, ri)| slices[pi as usize][ri as usize].clone()))
+                    .map(|&(pi, ri)| slices[pi as usize][ri as usize].clone())
                     .collect(),
             )
         }};
@@ -295,13 +275,12 @@ fn probe_partition(
     table: &BuildTable,
     right_parts: &[Batch],
     right_out_idx: &[usize],
-    join_type: JoinType,
     out_schema: &Arc<Schema>,
 ) -> Result<Batch> {
     // Gather match coordinates first, then materialize with typed takes on
     // the left and typed gathers on the right (no per-cell boxing on either
     // side).
-    let (left_rows, right_rows) = probe_matches(lbatch, left_key_idx, table, join_type);
+    let (left_rows, right_rows) = probe_matches(lbatch, left_key_idx, table);
     let left_out = lbatch.take(&left_rows);
     let n_left = lbatch.num_columns();
     let mut columns: Vec<Column> = left_out.columns().to_vec();
@@ -349,9 +328,7 @@ mod tests {
 
     #[test]
     fn inner_join_one_to_many() {
-        let j = left()
-            .join(&right(), &["m_id"], &["id"], JoinType::Inner)
-            .unwrap();
+        let j = left().join(&right(), &["m_id"], &["id"]).unwrap();
         // rows with m_id=3 each match two rules
         assert_eq!(j.num_rows(), 4);
         let rows = j.collect_rows().unwrap();
@@ -359,21 +336,8 @@ mod tests {
     }
 
     #[test]
-    fn left_join_keeps_unmatched_with_nulls() {
-        let j = left()
-            .join(&right(), &["m_id"], &["id"], JoinType::Left)
-            .unwrap();
-        assert_eq!(j.num_rows(), 6); // 2 + 2 matches for the two m_id=3 rows, plus 7 and null rows
-        let rows = j.collect_rows().unwrap();
-        let unmatched: Vec<_> = rows.iter().filter(|r| r[2].is_null()).collect();
-        assert_eq!(unmatched.len(), 2);
-    }
-
-    #[test]
     fn null_keys_never_match() {
-        let j = left()
-            .join(&right(), &["m_id"], &["id"], JoinType::Inner)
-            .unwrap();
+        let j = left().join(&right(), &["m_id"], &["id"]).unwrap();
         assert!(j.collect_rows().unwrap().iter().all(|r| !r[0].is_null()));
     }
 
@@ -412,12 +376,7 @@ mod tests {
         )
         .unwrap();
         let j = l
-            .join(
-                &r,
-                &["b_id", "m_id"],
-                &["rule_bus", "rule_mid"],
-                JoinType::Inner,
-            )
+            .join(&r, &["b_id", "m_id"], &["rule_bus", "rule_mid"])
             .unwrap();
         let rows = j.collect_rows().unwrap();
         // FC/3 matches two rules in build order, DC/3 one; 9, null and
@@ -438,9 +397,7 @@ mod tests {
             vec![vec![Value::from("3"), Value::from("wpos")]],
         )
         .unwrap();
-        let j = left()
-            .join(&r, &["m_id"], &["id"], JoinType::Inner)
-            .unwrap();
+        let j = left().join(&r, &["m_id"], &["id"]).unwrap();
         assert_eq!(j.num_rows(), 0);
     }
 
@@ -453,20 +410,16 @@ mod tests {
             vec![vec![Value::Int(3), Value::from("zz")]],
         )
         .unwrap();
-        let err = left()
-            .join(&r, &["m_id"], &["id"], JoinType::Inner)
-            .unwrap_err();
+        let err = left().join(&r, &["m_id"], &["id"]).unwrap_err();
         assert!(matches!(err, Error::DuplicateColumn(_)));
     }
 
     #[test]
     fn key_arity_validated() {
-        let err = left()
-            .join(&right(), &[], &[], JoinType::Inner)
-            .unwrap_err();
+        let err = left().join(&right(), &[], &[]).unwrap_err();
         assert!(matches!(err, Error::InvalidArgument(_)));
         let err = left()
-            .join(&right(), &["m_id"], &["id", "rule"], JoinType::Inner)
+            .join(&right(), &["m_id"], &["id", "rule"])
             .unwrap_err();
         assert!(matches!(err, Error::InvalidArgument(_)));
     }
@@ -477,7 +430,7 @@ mod tests {
         let run = |workers: usize| {
             l.clone()
                 .with_executor(Executor::new(workers))
-                .join(&right(), &["m_id"], &["id"], JoinType::Inner)
+                .join(&right(), &["m_id"], &["id"])
                 .unwrap()
                 .collect_rows()
                 .unwrap()
@@ -488,9 +441,7 @@ mod tests {
     #[test]
     fn join_result_keeps_executor() {
         let l = left().with_executor(Executor::new(5));
-        let j = l
-            .join(&right(), &["m_id"], &["id"], JoinType::Inner)
-            .unwrap();
+        let j = l.join(&right(), &["m_id"], &["id"]).unwrap();
         assert_eq!(j.executor(), Executor::new(5));
     }
 }

@@ -9,14 +9,16 @@
 //!
 //! * [`DataFrame`] — immutable, horizontally partitioned
 //!   table of typed [`Column`]s,
-//! * [`Expr`] — row-wise expressions and user-defined functions,
-//! * hash [`join`](frame::DataFrame::join), grouped
-//!   [`aggregation`](frame::DataFrame::group_by), sorting, window helpers
-//!   ([`lag`](frame::DataFrame::with_lag),
-//!   [`diff`](frame::DataFrame::with_diff),
-//!   [`forward_fill`](frame::DataFrame::forward_fill)),
+//! * hash [`join`](frame::DataFrame::join), stable
+//!   [`sort_by`](frame::DataFrame::sort_by), bag
+//!   [`union`](frame::DataFrame::union) and order-preserving
+//!   [`repartition`](frame::DataFrame::repartition),
 //! * an [`Executor`] that runs row-wise operators on all
 //!   partitions in parallel with deterministic output order.
+//!
+//! Selection σ and the row map `F` run directly on typed column slices
+//! ([`Batch::filter`] with a boolean mask, [`Batch::replace_column`]), so
+//! the engine carries no expression language of its own.
 //!
 //! # Examples
 //!
@@ -41,7 +43,21 @@
 //! .repartition(2)?;
 //!
 //! // Preselection: keep only messages relevant to the wiper domain.
-//! let pre = trace.filter(&col("m_id").eq(lit(3i64)).and(col("b_id").eq(lit("FC"))))?;
+//! let pre: Vec<Batch> = trace
+//!     .partitions()
+//!     .iter()
+//!     .map(|b| {
+//!         let m_id = b.column(1).as_int_slice().expect("int column");
+//!         let b_id = b.column(2).as_str_slice().expect("str column");
+//!         let mask: Vec<bool> = m_id
+//!             .iter()
+//!             .zip(b_id)
+//!             .map(|(m, bus)| *m == Some(3) && bus.as_deref() == Some("FC"))
+//!             .collect();
+//!         b.filter(&mask)
+//!     })
+//!     .collect::<ivnt_frame::Result<_>>()?;
+//! let pre = DataFrame::from_partitions(trace.schema().clone(), pre)?;
 //! assert_eq!(pre.num_rows(), 2);
 //! # Ok(())
 //! # }
@@ -55,9 +71,7 @@ pub mod csv;
 pub mod datatype;
 pub mod error;
 pub mod exec;
-pub mod expr;
 pub mod frame;
-pub mod groupby;
 pub mod join;
 pub mod value;
 
@@ -66,10 +80,7 @@ pub use column::Column;
 pub use datatype::{DataType, Field, Schema};
 pub use error::{Error, Result};
 pub use exec::Executor;
-pub use expr::{col, lit, udf, BinOp, Expr, UnaryOp};
 pub use frame::DataFrame;
-pub use groupby::{Agg, AggOp};
-pub use join::JoinType;
 pub use value::Value;
 
 /// Convenient glob import of the engine's common types.
@@ -78,9 +89,6 @@ pub mod prelude {
     pub use crate::column::Column;
     pub use crate::datatype::{DataType, Field, Schema};
     pub use crate::exec::Executor;
-    pub use crate::expr::{col, lit, udf, Expr};
     pub use crate::frame::DataFrame;
-    pub use crate::groupby::{Agg, AggOp};
-    pub use crate::join::JoinType;
     pub use crate::value::Value;
 }

@@ -26,13 +26,27 @@ fn frame_of(rows: &[(i64, f64, bool)], parts: usize) -> DataFrame {
 }
 
 proptest! {
-    /// Filtering then counting equals counting matching rows directly.
+    /// A per-partition mask filter (σ) keeps exactly the matching rows, in
+    /// order.
     #[test]
     fn filter_matches_reference(rows in arb_rows(), parts in 1usize..8) {
         let df = frame_of(&rows, parts);
-        let out = df.filter(&col("k").ge(lit(0i64))).unwrap();
-        let expected = rows.iter().filter(|(k, _, _)| *k >= 0).count();
-        prop_assert_eq!(out.num_rows(), expected);
+        let kept = df
+            .partitions()
+            .iter()
+            .map(|b| {
+                let mask: Vec<bool> = b.column(0).as_int_slice().unwrap()
+                    .iter().map(|k| k.is_some_and(|k| k >= 0)).collect();
+                b.filter(&mask)
+            })
+            .collect::<ivnt_frame::Result<Vec<_>>>()
+            .unwrap();
+        let out = DataFrame::from_partitions(df.schema().clone(), kept).unwrap();
+        let expected = frame_of(
+            &rows.iter().copied().filter(|(k, _, _)| *k >= 0).collect::<Vec<_>>(),
+            1,
+        );
+        prop_assert_eq!(out.collect_rows().unwrap(), expected.collect_rows().unwrap());
     }
 
     /// Repartitioning never changes content or global order.
@@ -43,16 +57,24 @@ proptest! {
         prop_assert_eq!(df.collect_rows().unwrap(), re.collect_rows().unwrap());
     }
 
-    /// Results are bit-identical for 1 worker and many workers.
+    /// Join, sort and repartition results are bit-identical for 1 worker
+    /// and many workers.
     #[test]
     fn parallelism_is_deterministic(rows in arb_rows(), parts in 1usize..8) {
         let df = frame_of(&rows, parts);
-        let expr = col("x").mul(lit(2.0)).add(col("k"));
-        let serial = df.clone().with_executor(Executor::new(1))
-            .with_column("y", &expr).unwrap().collect_rows().unwrap();
-        let parallel = df.with_executor(Executor::new(6))
-            .with_column("y", &expr).unwrap().collect_rows().unwrap();
-        prop_assert_eq!(serial, parallel);
+        let rules = DataFrame::from_rows(
+            Schema::from_pairs([("rk", DataType::Int), ("tag", DataType::Int)])
+                .unwrap().into_shared(),
+            (-1000i64..1000).step_by(7).map(|k| vec![Value::Int(k), Value::Int(k * 3)]),
+        ).unwrap();
+        let run = |workers: usize| {
+            let df = df.clone().with_executor(Executor::new(workers));
+            let joined = df.join(&rules, &["k"], &["rk"]).unwrap();
+            let sorted = joined.sort_by(&["x", "k"], &[false, true]).unwrap();
+            let re = sorted.repartition(parts).unwrap();
+            (joined.collect_rows().unwrap(), re.collect_rows().unwrap(), re.num_partitions())
+        };
+        prop_assert_eq!(run(1), run(6));
     }
 
     /// Sorting yields a non-decreasing key column and preserves multiset.
@@ -67,24 +89,6 @@ proptest! {
         let mut orig: Vec<i64> = rows.iter().map(|r| r.0).collect();
         orig.sort_unstable();
         prop_assert_eq!(keys, orig);
-    }
-
-    /// group_by count over a key equals a hand-rolled hash count.
-    #[test]
-    fn group_count_matches_reference(rows in arb_rows(), parts in 1usize..8) {
-        let df = frame_of(&rows, parts);
-        if rows.is_empty() { return Ok(()); }
-        let g = df.group_by(&["k"], &[Agg::new(AggOp::Count, "k", "n")]).unwrap();
-        let mut expected = std::collections::HashMap::new();
-        for (k, _, _) in &rows {
-            *expected.entry(*k).or_insert(0i64) += 1;
-        }
-        let got: std::collections::HashMap<i64, i64> = g
-            .collect_rows().unwrap()
-            .into_iter()
-            .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
-            .collect();
-        prop_assert_eq!(got, expected);
     }
 
     /// Join with a key subset behaves like nested-loop reference on small input.
@@ -102,7 +106,7 @@ proptest! {
             schema_r,
             rows.iter().map(|&(k, a)| vec![Value::Int(k + 1), Value::Int(a)]),
         ).unwrap();
-        let joined = left.join(&right, &["k"], &["k2"], JoinType::Inner).unwrap();
+        let joined = left.join(&right, &["k"], &["k2"]).unwrap();
         let mut expected = 0usize;
         for &(lk, _) in &rows {
             expected += rows.iter().filter(|&&(rk, _)| rk + 1 == lk).count();
@@ -110,31 +114,14 @@ proptest! {
         prop_assert_eq!(joined.num_rows(), expected);
     }
 
-    /// union then distinct of a frame with itself is distinct of the frame.
+    /// `f ∪ g` holds the rows of `f` followed by the rows of `g`.
     #[test]
-    fn union_distinct_idempotent(rows in arb_rows()) {
-        let df = frame_of(&rows, 2);
-        let u = df.union(&df).unwrap().distinct().unwrap();
-        let d = df.distinct().unwrap();
-        prop_assert_eq!(u.collect_rows().unwrap(), d.collect_rows().unwrap());
-    }
-
-    /// forward_fill leaves no interior nulls after the first non-null.
-    #[test]
-    fn forward_fill_no_interior_nulls(vals in prop::collection::vec(prop::option::of(-100i64..100), 0..100)) {
-        let schema = Schema::from_pairs([("v", DataType::Int)]).unwrap().into_shared();
-        let df = DataFrame::from_rows(
-            schema,
-            vals.iter().map(|v| vec![Value::from(*v)]),
-        ).unwrap().repartition(3).unwrap();
-        let filled = df.forward_fill("v").unwrap();
-        let out = filled.column_values("v").unwrap();
-        let first_set = vals.iter().position(|v| v.is_some());
-        for (i, v) in out.iter().enumerate() {
-            match first_set {
-                Some(p) if i >= p => prop_assert!(!v.is_null()),
-                _ => prop_assert!(v.is_null()),
-            }
-        }
+    fn union_appends_in_order(f in arb_rows(), g in arb_rows(), a in 1usize..5, b in 1usize..5) {
+        let (df, dg) = (frame_of(&f, a), frame_of(&g, b));
+        let u = df.union(&dg).unwrap();
+        prop_assert_eq!(u.num_partitions(), df.num_partitions() + dg.num_partitions());
+        let mut expected = df.collect_rows().unwrap();
+        expected.extend(dg.collect_rows().unwrap());
+        prop_assert_eq!(u.collect_rows().unwrap(), expected);
     }
 }

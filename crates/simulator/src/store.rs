@@ -12,7 +12,7 @@
 //! which converts them to `.ivns` on import.
 
 use std::fs::{self, File};
-use std::io::{BufReader, Read};
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -279,7 +279,7 @@ impl TraceStore {
                 j.file
             ));
         }
-        fs::write(self.root.join(INDEX_FILE), text)?;
+        ivnt_store::durable::replace(self.root.join(INDEX_FILE), |w| w.write_all(text.as_bytes()))?;
         Ok(())
     }
 }

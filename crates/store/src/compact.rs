@@ -17,10 +17,10 @@
 //! group count, so plan caches keyed on (generation, rows, chunk count)
 //! treat the compacted file as a new store.
 
-use std::fs::File;
-use std::io::{BufWriter, Read, Seek, Write};
-use std::path::Path;
+use std::io::{Read, Seek, Write};
+use std::path::{Path, PathBuf};
 
+use crate::durable;
 use crate::error::{Error, Result};
 use crate::reader::{Predicate, StoreReader};
 use crate::writer::{StoreWriter, WriterOptions};
@@ -88,7 +88,9 @@ pub fn compact<R: Read + Seek, W: Write>(
 }
 
 /// Opens the sealed store at `input`, compacts it, and writes the result
-/// to `output` (created/truncated).
+/// to `output` through [`durable::replace`]: an existing `output` is only
+/// replaced once the compacted file is complete and synced. A symlinked
+/// `output` is followed, so the link stays and its target is replaced.
 ///
 /// # Errors
 ///
@@ -97,7 +99,9 @@ pub fn compact<R: Read + Seek, W: Write>(
 /// [`seal_recovered`](crate::append::seal_recovered)) first. Refuses with
 /// [`Error::Io`] (`InvalidInput`), before touching either file, when
 /// `output` already exists as the very file `input` names (any alias:
-/// `dir/../x`, a hard link) — truncating it would destroy the input.
+/// `dir/../x`, a hard link) — truncating it would destroy the input —
+/// or as anything but a regular file (a device, a directory, a dangling
+/// symlink), which a rename would clobber instead of writing through.
 pub fn compact_file<P: AsRef<Path>, Q: AsRef<Path>>(
     input: P,
     output: Q,
@@ -105,19 +109,36 @@ pub fn compact_file<P: AsRef<Path>, Q: AsRef<Path>>(
 ) -> Result<CompactReport> {
     let (input, output) = (input.as_ref(), output.as_ref());
     if same_file(input, output) {
-        return Err(Error::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!(
-                "compaction output {} is the input file itself",
-                output.display()
-            ),
-        )));
+        return Err(invalid_output(output, "is the input file itself"));
     }
+    let output = regular_target(output)?;
     let mut reader = StoreReader::open(input)?;
-    let out = BufWriter::new(File::create(output)?);
-    let (mut out, report) = compact(&mut reader, out, options)?;
-    out.flush()?;
-    Ok(report)
+    durable::replace(output, |out| Ok(compact(&mut reader, out, options)?.1))
+}
+
+/// The path [`durable::replace`] may rename onto for `output`: `output`
+/// itself when nothing is there, the symlink-resolved file when it is a
+/// regular file, and a refusal for anything else.
+fn regular_target(output: &Path) -> Result<PathBuf> {
+    match std::fs::metadata(output) {
+        Ok(m) if m.is_file() => Ok(output.canonicalize()?),
+        Ok(_) => Err(invalid_output(output, "is not a regular file")),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            if std::fs::symlink_metadata(output).is_ok() {
+                Err(invalid_output(output, "is a dangling symlink"))
+            } else {
+                Ok(output.to_path_buf())
+            }
+        }
+        Err(e) => Err(e.into()),
+    }
+}
+
+fn invalid_output(output: &Path, why: &str) -> Error {
+    Error::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        format!("compaction output {} {why}", output.display()),
+    ))
 }
 
 /// Whether `a` and `b` both exist and are one file — same device and
@@ -150,17 +171,19 @@ mod tests {
     use super::*;
     use crate::Record;
 
-    #[test]
-    fn compacting_a_file_onto_itself_is_refused_and_leaves_it_intact() {
-        let dir = std::env::temp_dir().join(format!("ivnt-compact-self-{}", std::process::id()));
+    const OPTIONS: WriterOptions = WriterOptions {
+        chunk_rows: 16,
+        chunks_per_group: 2,
+        cluster: true,
+    };
+
+    /// A fresh directory holding a sealed 100-row store `x.ivns`.
+    fn store_fixture(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("ivnt-compact-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(dir.join("sub")).unwrap();
         let p = dir.join("x.ivns");
-        let options = WriterOptions {
-            chunk_rows: 16,
-            chunks_per_group: 2,
-            cluster: true,
-        };
-        let mut writer = StoreWriter::create(&p, options).unwrap();
+        let mut writer = StoreWriter::create(&p, OPTIONS).unwrap();
         let bus: Arc<str> = Arc::from("FC");
         for i in 0..100u64 {
             writer
@@ -174,24 +197,77 @@ mod tests {
                 .unwrap();
         }
         writer.finish().unwrap();
+        (dir, p)
+    }
+
+    fn assert_invalid_input(err: &Error) {
+        assert!(
+            matches!(err, Error::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn compacting_a_file_onto_itself_is_refused_and_leaves_it_intact() {
+        let (dir, p) = store_fixture("self");
         let before = std::fs::read(&p).unwrap();
 
         let dotdot = dir.join("sub").join("..").join("x.ivns");
         let link = dir.join("hard-link.ivns");
         std::fs::hard_link(&p, &link).unwrap();
         for alias in [&p, &dotdot, &link] {
-            let err = compact_file(&p, alias, options).expect_err("self-compaction refused");
-            assert!(
-                matches!(&err, Error::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
-                "{err}"
-            );
+            let err = compact_file(&p, alias, OPTIONS).expect_err("self-compaction refused");
+            assert_invalid_input(&err);
             assert_eq!(std::fs::read(&p).unwrap(), before, "input untouched");
         }
 
         // A distinct output still compacts.
         let out = dir.join("y.ivns");
-        let report = compact_file(&p, &out, options).unwrap();
+        let report = compact_file(&p, &out, OPTIONS).unwrap();
         assert_eq!(report.rows, 100);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn symlinked_output_keeps_the_link_and_replaces_its_target() {
+        let (dir, p) = store_fixture("symlink");
+        let target = dir.join("sub").join("target.ivns");
+        std::fs::write(&target, b"stale").unwrap();
+        let link = dir.join("link.ivns");
+        std::os::unix::fs::symlink(&target, &link).unwrap();
+
+        let report = compact_file(&p, &link, OPTIONS).unwrap();
+        assert_eq!(report.rows, 100);
+        assert!(std::fs::symlink_metadata(&link).unwrap().is_symlink());
+        let mut out = StoreReader::open(&target).unwrap();
+        let mut input = StoreReader::open(&p).unwrap();
+        assert_eq!(out.read_all().unwrap(), input.read_all().unwrap());
+
+        // A link to nowhere is refused, and stays a link.
+        let dangling = dir.join("dangling.ivns");
+        std::os::unix::fs::symlink(dir.join("missing.ivns"), &dangling).unwrap();
+        assert_invalid_input(&compact_file(&p, &dangling, OPTIONS).unwrap_err());
+        assert!(std::fs::symlink_metadata(&dangling).unwrap().is_symlink());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn non_regular_output_is_refused_untouched() {
+        let (dir, p) = store_fixture("special");
+        let sub = dir.join("sub");
+        assert_invalid_input(&compact_file(&p, &sub, OPTIONS).unwrap_err());
+        assert!(sub.is_dir());
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::FileTypeExt;
+            let null = Path::new("/dev/null");
+            assert_invalid_input(&compact_file(&p, null, OPTIONS).unwrap_err());
+            assert!(std::fs::metadata(null)
+                .unwrap()
+                .file_type()
+                .is_char_device());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

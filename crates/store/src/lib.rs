@@ -25,6 +25,8 @@
 //!   crash-recoverable micro-batched group frames, [`recover`] rebuilds
 //!   the index of a torn file by walking checksummed frames, and
 //!   [`StoreFollower`] tails a growing file group by group.
+//! - [`durable`] — crash-safe whole-file replacement (temp file, sync,
+//!   rename) for every file the system rewrites.
 //! - [`schema`] — the canonical tabular form of a raw trace, shared with
 //!   the interpretation pipeline.
 
@@ -32,6 +34,7 @@
 
 pub mod append;
 pub mod compact;
+pub mod durable;
 pub mod error;
 pub mod layout;
 pub mod reader;

@@ -22,6 +22,22 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> AddressSanitizer over the unsafe code (nightly)"
+# exec.rs (worker pool, write-once slots) and interpret.rs (vectorized
+# kernel) hold the workspace's only unsafe blocks; run their crates' tests
+# with ASan. --target keeps build scripts and proc macros unsanitized;
+# RUSTDOCFLAGS sanitizes the doctests too, which otherwise fail to link.
+asan() {
+  CARGO_TARGET_DIR=target/asan RUSTFLAGS=-Zsanitizer=address RUSTDOCFLAGS=-Zsanitizer=address \
+    cargo +nightly test --offline --target x86_64-unknown-linux-gnu -q "$@"
+}
+asan -p ivnt-frame
+asan -p ivnt-core --lib interpret
+asan -p ivnt-core --test interpret_equivalence
+
+echo "==> perfbench smoke (the repo benchmark builds and runs at tiny scale)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> store_probe smoke (zone-map pushdown gate)"
 # Small workload; fails if chunk skipping degenerates below the gate.
 IVNT_BENCH_SCALE="${IVNT_BENCH_SCALE:-0.25}" \
