@@ -1,8 +1,8 @@
 //! Machine-readable end-to-end probe of the parallel branch pipeline.
 //!
 //! Runs the full Algorithm 1 on the Table 6 vehicle workload twice — the
-//! sequential reference path (`Pipeline::run_serial`) and the scatter/gather
-//! path (`Pipeline::run`) — plus the O(n log n) heap SWAB kernel against its
+//! sequential reference path (`RunOptions::serial`) and the scatter/gather
+//! path, both through `Pipeline::session(..).run()` — plus the O(n log n) heap SWAB kernel against its
 //! retained O(n²) reference, and writes `BENCH_pipeline.json` following the
 //! `speed_probe`/`cluster_scale` conventions. `IVNT_BENCH_SCALE` scales the
 //! workload.
@@ -123,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pipeline
             .session(RunOptions::trace(&data.trace).serial())
             .run()
-            .expect("run_serial");
+            .expect("serial run");
         let serial = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
         let run = pipeline

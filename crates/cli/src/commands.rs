@@ -357,21 +357,6 @@ fn store_ingest(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// Resolves a store file to its footer plus lifecycle state: a sealed
-/// file opens through the normal reader; an appendable (unsealed) one
-/// gets its index rebuilt by walking the checksummed group frames, which
-/// also measures any torn tail left by a crash.
-fn store_state(path: &str) -> Result<(ivnt_store::Footer, bool, u64), String> {
-    match ivnt_store::StoreReader::open(path) {
-        Ok(reader) => Ok((reader.footer().clone(), true, 0)),
-        Err(_) => {
-            let recovered = ivnt_store::recover(path).map_err(err)?;
-            let torn = recovered.torn_bytes();
-            Ok((recovered.footer, recovered.sealed, torn))
-        }
-    }
-}
-
 /// Min/max record timestamps of one group's chunk range.
 fn group_time_span(footer: &ivnt_store::Footer, span: &ivnt_store::GroupSpan) -> (u64, u64) {
     let chunks = &footer.chunks[span.chunk_start..span.chunk_end];
@@ -451,13 +436,13 @@ fn store_info_json(path: &str, footer: &ivnt_store::Footer, sealed: bool, torn: 
 /// `ivnt store info [--json] [--chunks N] [--groups N] <trace.ivns>` —
 /// footer statistics, lifecycle state (sealed vs still appendable, with
 /// any torn tail bytes), per-row-group time spans, and the chunk index;
-/// `--json` emits the machine-readable form. Appendable files written by
-/// `ivnt stream ingest --no-seal` (or cut short by a crash) are indexed
-/// by walking their checksummed group frames.
+/// `--json` emits the machine-readable form. Appendable files — left open
+/// by `ivnt stream ingest --no-seal`, or any store whose writer crashed —
+/// are indexed by walking their checksummed group frames.
 fn store_info(args: &Args) -> CmdResult {
     let path = args.positional(1, "trace.ivns")?;
-    let (footer, sealed, torn) = store_state(path)?;
-    let footer = &footer;
+    let recovered = ivnt_store::recover(path).map_err(err)?;
+    let (footer, sealed, torn) = (&recovered.footer, recovered.sealed, recovered.torn_bytes());
     if args.has("json") {
         return store_info_json(path, footer, sealed, torn);
     }
@@ -1012,14 +997,14 @@ fn stream_ingest(args: &Args) -> CmdResult {
 /// [--watermark-ms N] [--history-cap N] [--sax K] [--poll-ms N] [--once]
 /// [--metrics] [--json] <trace.ivns>`
 ///
-/// Tails a store being written by `ivnt stream ingest`, pushing each
-/// completed row group through the incremental pipeline and printing the
-/// reduced state deltas as they materialize. Runs until the writer seals
-/// the file; `--once` instead stops at the first poll that makes no
-/// progress (use it on finished files). `--sax K` adds incremental
-/// SWAB + SAX symbolization with a K-letter alphabet. On a closed stream
-/// the concatenated deltas are bit-identical to the batch pipeline's
-/// reduced output over the same records.
+/// Tails a store — one `ivnt stream ingest` is writing, or any finished
+/// one — pushing each completed row group through the incremental
+/// pipeline and printing the reduced state deltas as they materialize.
+/// Runs until the writer seals the file; `--once` instead stops at the
+/// first poll that makes no progress (use it on finished files). `--sax
+/// K` adds incremental SWAB + SAX symbolization with a K-letter alphabet.
+/// On a closed stream the concatenated deltas are bit-identical to the
+/// batch pipeline's reduced output over the same records.
 fn stream_follow(args: &Args) -> CmdResult {
     let path = args.positional(1, "trace.ivns")?;
     let shared = SharedOptions::parse_switches(args);
@@ -1051,6 +1036,7 @@ fn stream_follow(args: &Args) -> CmdResult {
     let mut session = ivnt_stream::StreamingSession::new(&pipeline, options).map_err(err)?;
     let mut follower = ivnt_store::StoreFollower::open(path).map_err(err)?;
     let mut groups = 0u64;
+    let mut records = 0u64;
     let mut rows = 0u64;
     let mut sealed = false;
     loop {
@@ -1058,6 +1044,7 @@ fn stream_follow(args: &Args) -> CmdResult {
         let progressed = !batch.groups.is_empty();
         for group in &batch.groups {
             groups += 1;
+            records += group.records.len() as u64;
             let deltas = session.push_records(&group.records).map_err(err)?;
             print_deltas(&shared, &deltas, &mut rows);
         }
@@ -1082,6 +1069,7 @@ fn stream_follow(args: &Args) -> CmdResult {
         w.field_str("path", path);
         w.field_bool("sealed", sealed);
         w.field_u64("groups", groups);
+        w.field_u64("records", records);
         w.field_u64("rows_emitted", rows);
         w.field_u64("peak_buffered_rows", peak_buffered as u64);
         w.field_u64("late_rows", late_rows);
@@ -1116,7 +1104,7 @@ fn stream_follow(args: &Args) -> CmdResult {
         let ending = if sealed { "sealed" } else { "stopped" };
         println!(
             "{ending}: {} signals, {rows} reduced rows over {groups} groups \
-             (peak {peak_buffered} rows buffered, {late_rows} late)",
+             of {records} records (peak {peak_buffered} rows buffered, {late_rows} late)",
             close.summaries.len(),
         );
         for s in &close.summaries {
@@ -1592,11 +1580,14 @@ SHARED FLAGS (run, store extract, query):
   worker ADDRESS LIST and the snapshot merges coordinator and workers.
 
 STREAMING:
-  `stream ingest` appends micro-batched, checksummed row groups; a killed
-  writer loses at most the unflushed tail and `store info` still indexes
-  the file. `stream follow` tails such a store through the incremental
-  pipeline; on a sealed stream its concatenated output is bit-identical
-  to the batch `run` over the same records. Frame-line stdin format:
+  Every store is written as checksummed row-group frames: a killed writer
+  loses at most the unflushed tail and `store info` still indexes the
+  file. `stream ingest` flushes a frame per micro-batch. `stream follow`
+  tails any store (`stream ingest`, `store ingest`, `store compact`)
+  group by group through the incremental pipeline until it sees the
+  seal; `--once` stops at the first poll that finds no new group. On a
+  sealed stream its concatenated output is bit-identical to the batch
+  `run` over the same records. Frame-line stdin format:
   `<timestamp_us> <bus> <message_id> <payload_hex|-> [can|canfd|lin|someip]`
 "
 }

@@ -68,8 +68,8 @@ impl CheckpointEntry {
 
     fn decode(payload: &[u8]) -> Result<CheckpointEntry> {
         let mut cur = Cursor::new(payload);
-        let group_start = read_u32(&mut cur, "group start")?;
-        let group_end = read_u32(&mut cur, "group end")?;
+        let group_start = cur.read_u32("group start")?;
+        let group_end = cur.read_u32("group end")?;
         if group_end < group_start {
             return Err(Error::Protocol(format!(
                 "inverted checkpoint range {group_start}..{group_end}"
@@ -108,11 +108,6 @@ impl CheckpointEntry {
             blobs,
         })
     }
-}
-
-fn read_u32(cur: &mut Cursor<'_>, what: &str) -> Result<u32> {
-    let v = cur.read_u64()?;
-    u32::try_from(v).map_err(|_| Error::Protocol(format!("{what} {v} exceeds u32")))
 }
 
 /// An open checkpoint file the coordinator appends completed tasks to.

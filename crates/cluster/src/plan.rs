@@ -56,13 +56,9 @@ impl ShardTask {
     /// Returns [`Error::Truncated`] / [`Error::Protocol`] for malformed
     /// bytes.
     pub fn decode(cur: &mut Cursor<'_>) -> Result<ShardTask> {
-        let read_u32 = |cur: &mut Cursor<'_>, what: &str| -> Result<u32> {
-            let v = cur.read_u64()?;
-            u32::try_from(v).map_err(|_| Error::Protocol(format!("{what} {v} exceeds u32")))
-        };
-        let task_id = read_u32(cur, "task id")?;
-        let group_start = read_u32(cur, "group start")?;
-        let group_end = read_u32(cur, "group end")?;
+        let task_id = cur.read_u32("task id")?;
+        let group_start = cur.read_u32("group start")?;
+        let group_end = cur.read_u32("group end")?;
         if group_end < group_start {
             return Err(Error::Protocol(format!(
                 "inverted group range {group_start}..{group_end}"

@@ -372,11 +372,6 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
     out
 }
 
-fn read_u32_varint(cur: &mut Cursor<'_>, what: &str) -> Result<u32> {
-    let v = cur.read_u64()?;
-    u32::try_from(v).map_err(|_| Error::Protocol(format!("{what} {v} exceeds u32")))
-}
-
 /// Decodes a frame payload produced by [`encode_message`].
 ///
 /// # Errors
@@ -389,28 +384,28 @@ pub fn decode_message(payload: &[u8]) -> Result<Message> {
     let tag = cur.read_u8()?;
     let msg = match tag {
         tag::HELLO => Message::Hello {
-            version: read_u32_varint(&mut cur, "version")?,
+            version: cur.read_u32("version")?,
             peer: read_str(&mut cur)?,
         },
         tag::JOB => Message::Job {
             job: JobSpec::decode(&mut cur)?,
-            heartbeat_ms: read_u32_varint(&mut cur, "heartbeat interval")?,
+            heartbeat_ms: cur.read_u32("heartbeat interval")?,
         },
         tag::ASSIGN => Message::Assign {
             task: ShardTask::decode(&mut cur)?,
         },
         tag::HEARTBEAT => Message::Heartbeat {
-            task_id: read_u32_varint(&mut cur, "task id")?,
+            task_id: cur.read_u32("task id")?,
             seq: cur.read_u64()?,
         },
         tag::TASK_ERROR => Message::TaskError {
-            task_id: read_u32_varint(&mut cur, "task id")?,
+            task_id: cur.read_u32("task id")?,
             message: read_str(&mut cur)?,
         },
         tag::PARTIAL_RESULT => {
-            let task_id = read_u32_varint(&mut cur, "task id")?;
-            let seq = read_u32_varint(&mut cur, "partial seq")?;
-            let group = read_u32_varint(&mut cur, "partial group")?;
+            let task_id = cur.read_u32("task id")?;
+            let seq = cur.read_u32("partial seq")?;
+            let group = cur.read_u32("partial group")?;
             let raw_bytes = cur.read_u64()?;
             let n = cur.read_u64()?;
             if n > MAX_FRAME_LEN {
@@ -429,17 +424,17 @@ pub fn decode_message(payload: &[u8]) -> Result<Message> {
             }
         }
         tag::TASK_DONE => Message::TaskDone {
-            task_id: read_u32_varint(&mut cur, "task id")?,
-            parts: read_u32_varint(&mut cur, "part count")?,
-            group_end: read_u32_varint(&mut cur, "group end")?,
+            task_id: cur.read_u32("task id")?,
+            parts: cur.read_u32("part count")?,
+            group_end: cur.read_u32("group end")?,
         },
         tag::TRUNCATE => Message::Truncate {
-            task_id: read_u32_varint(&mut cur, "task id")?,
-            group_end: read_u32_varint(&mut cur, "group end")?,
+            task_id: cur.read_u32("task id")?,
+            group_end: cur.read_u32("group end")?,
         },
         tag::TRUNCATED => Message::Truncated {
-            task_id: read_u32_varint(&mut cur, "task id")?,
-            group_end: read_u32_varint(&mut cur, "group end")?,
+            task_id: cur.read_u32("task id")?,
+            group_end: cur.read_u32("group end")?,
         },
         tag::SHUTDOWN => Message::Shutdown,
         tag::METRICS_REQUEST => Message::MetricsRequest,

@@ -222,67 +222,6 @@ impl Planner {
         Ok(MultiExtraction { frames, plan })
     }
 
-    /// Answers every query's full pipeline run from one shared pass.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Planner::extract`].
-    pub fn run<R: Read + Seek>(
-        &mut self,
-        queries: &[Query<'_>],
-        reader: &mut StoreReader<R>,
-    ) -> Result<MultiOutput> {
-        self.run_with(queries, reader, false)
-    }
-
-    /// [`Planner::run`] with the per-signal fan-out forced serial — the
-    /// reference oracle, mirroring
-    /// [`RunOptions::serial`](ivnt_core::pipeline::RunOptions::serial).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Planner::extract`].
-    pub fn run_serial<R: Read + Seek>(
-        &mut self,
-        queries: &[Query<'_>],
-        reader: &mut StoreReader<R>,
-    ) -> Result<MultiOutput> {
-        self.run_with(queries, reader, true)
-    }
-
-    fn run_with<R: Read + Seek>(
-        &mut self,
-        queries: &[Query<'_>],
-        reader: &mut StoreReader<R>,
-        serial: bool,
-    ) -> Result<MultiOutput> {
-        let t_extract = Instant::now();
-        let (parts, plan, per_query) = self.extract_parts(queries, reader)?;
-        let extract_secs = t_extract.elapsed().as_secs_f64();
-        // The shared extraction's cost is attributed evenly across the
-        // batch — per-query stage timings stay comparable to solo runs.
-        let interpret_secs = extract_secs / queries.len().max(1) as f64;
-        let results = queries
-            .iter()
-            .zip(parts)
-            .zip(per_query)
-            .map(|((q, parts), stats)| {
-                let epoch = Instant::now();
-                let ks = q.pipeline.signal_frame(parts)?;
-                let parallel = !serial && q.pipeline.effective_workers() > 1;
-                let output = q
-                    .pipeline
-                    .run_from_ks(ks, epoch, interpret_secs, parallel)?;
-                Ok(QueryResult {
-                    label: q.label().to_string(),
-                    output,
-                    stats,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(MultiOutput { results, plan })
-    }
-
     /// The planner core: cache probe → shared scan → routing → cache
     /// fill. Returns each query's padded `K_s` partitions.
     fn extract_parts<R: Read + Seek>(
@@ -434,7 +373,7 @@ impl<'p, 'a, 'c, R: Read + Seek> QuerySet<'p, 'a, 'c, R> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Planner::run`].
+    /// Same conditions as [`Planner::extract`].
     pub fn run(self) -> Result<MultiOutput> {
         let QuerySet {
             queries,
@@ -446,7 +385,31 @@ impl<'p, 'a, 'c, R: Read + Seek> QuerySet<'p, 'a, 'c, R> {
         let _guard = subscriber.map(ivnt_obs::install);
         let mut local = Planner::new();
         let planner = planner.unwrap_or(&mut local);
-        planner.run_with(&queries, reader, serial)
+        let t_extract = Instant::now();
+        let (parts, plan, per_query) = planner.extract_parts(&queries, reader)?;
+        let extract_secs = t_extract.elapsed().as_secs_f64();
+        // The shared extraction's cost is attributed evenly across the
+        // batch — per-query stage timings stay comparable to solo runs.
+        let interpret_secs = extract_secs / queries.len().max(1) as f64;
+        let results = queries
+            .iter()
+            .zip(parts)
+            .zip(per_query)
+            .map(|((q, parts), stats)| {
+                let epoch = Instant::now();
+                let ks = q.pipeline.signal_frame(parts)?;
+                let parallel = !serial && q.pipeline.effective_workers() > 1;
+                let output = q
+                    .pipeline
+                    .run_from_ks(ks, epoch, interpret_secs, parallel)?;
+                Ok(QueryResult {
+                    label: q.label().to_string(),
+                    output,
+                    stats,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(MultiOutput { results, plan })
     }
 
     /// Extracts every query's `K_s` from one shared pass.

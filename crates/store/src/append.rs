@@ -1,30 +1,30 @@
-//! Append-mode `.ivns`: live ingest with crash-recoverable group frames.
+//! Append-mode `.ivns`: live ingest, crash recovery and tailing.
 //!
-//! The batch [`StoreWriter`](crate::StoreWriter) places its entire index in
-//! a footer written at `finish()`; kill the process mid-trace and the file
-//! is unreadable. Live-session ingest needs the opposite durability shape:
-//! every flushed micro-batch must survive a crash, and a concurrent reader
-//! must be able to tail the file while it grows.
+//! Every `.ivns` file is written by [`StoreWriter`] as a sequence of
+//! checksummed **group frames** ([`GROUP_MAGIC`], a varint chunk index
+//! for just that group plus the bus names it interned first, then the
+//! ordinary chunk bytes), sealed by a footer and trailer at the end. The
+//! file is therefore self-describing as it grows, and a writer killed
+//! mid-trace leaves every group it wrote readable.
 //!
-//! [`AppendWriter`] keeps the chunk encoding, clustering and zone maps of
-//! the batch writer but makes the file *self-describing as it grows*: each
-//! flushed row group is preceded by a checksummed **group frame header**
-//! ([`GROUP_MAGIC`], varint-encoded chunk index for just that group, newly
-//! interned bus names) followed by the ordinary chunk bytes. Flushes are
-//! triggered by row count ([`AppendOptions::flush_rows`]), by record-time
-//! advance ([`AppendOptions::flush_interval_us`]) or explicitly.
-//!
-//! * [`AppendWriter::seal`] appends the standard footer + trailer, so a
-//!   cleanly closed append file is read by [`StoreReader`] unchanged — the
-//!   interleaved frame headers are simply never consulted (chunk offsets in
-//!   the footer are absolute and skip over them).
-//! * [`recover`] walks the frames of a torn (unsealed) file, validating
-//!   header and chunk checksums, truncating the torn tail group and
-//!   rebuilding the footer index — at most the unflushed tail is lost.
+//! * [`AppendWriter`] is the live-session face of that encoder: it adds
+//!   only a flush policy — a group is written and pushed through to the
+//!   sink by row count ([`AppendOptions::flush_rows`]), by record-time
+//!   advance ([`AppendOptions::flush_interval_us`]) or explicitly — and
+//!   reports each flush ([`GroupFlush`]). [`AppendWriter::seal`] writes
+//!   the standard footer + trailer, after which [`StoreReader`] reads the
+//!   file unchanged (chunk offsets in the footer skip the frame headers).
+//! * [`recover`] accepts a valid seal as is; otherwise it walks the
+//!   frames, validating header and chunk checksums, and rebuilds the
+//!   index of the complete groups — at most the torn tail group is lost.
 //! * [`seal_recovered`] turns a recovered file back into a standard sealed
 //!   store in place.
 //! * [`StoreFollower`] tails a growing file, emitting each newly completed
 //!   group's records in trace order — the reader half of a live session.
+//!
+//! Files sealed before group frames existed hold bare chunks: [`recover`]
+//! reports them sealed from their footer, [`seal_recovered`] leaves them
+//! untouched, and [`StoreFollower`] refuses them with [`Error::Format`].
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -33,21 +33,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::error::{Error, Result};
+pub use crate::layout::GROUP_MAGIC;
 use crate::layout::{
-    checksum, decode_chunk, encode_chunk, encode_footer, ChunkMeta, EncodedRow, Footer,
-    IndexedRecord, ZoneMap, END_MAGIC, MAGIC, TRAILER_LEN,
+    checksum, decode_frame_header, Footer, FrameHeader, IndexedRecord, FRAME_OVERHEAD, MAGIC,
+    MAX_FRAME_HEADER_LEN,
 };
-use crate::reader::StoreReader;
-use crate::record::{protocol_tag, Record};
-use crate::varint;
-use crate::writer::WriterOptions;
-
-/// Marker opening every appended group frame.
-pub const GROUP_MAGIC: &[u8; 8] = b"IVNSGRP\0";
-
-/// Upper bound on one frame header (sanity cap while walking; a header
-/// indexes at most one group's chunks and bus names).
-const MAX_HEADER_LEN: u32 = 16 << 20;
+use crate::reader::{read_chunk, read_seal, StoreReader};
+use crate::record::Record;
+use crate::writer::{write_seal, StoreWriter, WriterOptions};
 
 /// Tuning knobs for [`AppendWriter`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -87,33 +80,11 @@ pub struct GroupFlush {
     pub seconds: f64,
 }
 
-/// Streaming append-mode writer for the `.ivns` format.
+/// Streaming append-mode writer for the `.ivns` format: a [`StoreWriter`]
+/// with a flush policy.
 pub struct AppendWriter<W: Write> {
-    out: W,
+    writer: StoreWriter<W>,
     options: AppendOptions,
-    /// Bytes written so far == offset of the next write.
-    offset: u64,
-    /// Bus dictionary in first-seen order.
-    buses: Vec<Arc<str>>,
-    /// Buses already persisted in earlier frame headers.
-    buses_written: usize,
-    /// Buffered rows of the current (unflushed) group, in append order.
-    group: Vec<PendingRow>,
-    /// Chunk index accumulated for the seal-time footer.
-    chunks: Vec<ChunkMeta>,
-    rows_total: u64,
-    groups: u32,
-    /// Oldest buffered record timestamp (time-trigger anchor).
-    oldest_buffered_us: u64,
-}
-
-struct PendingRow {
-    index: u64,
-    timestamp_us: u64,
-    bus_id: u32,
-    message_id: u32,
-    protocol: u8,
-    payload: Vec<u8>,
 }
 
 impl AppendWriter<BufWriter<File>> {
@@ -133,21 +104,11 @@ impl<W: Write> AppendWriter<W> {
     /// # Errors
     ///
     /// Returns [`Error::Io`] if the header write fails.
-    pub fn new(mut out: W, options: AppendOptions) -> Result<Self> {
-        out.write_all(MAGIC)?;
-        out.flush()?;
-        Ok(AppendWriter {
-            out,
-            options,
-            offset: MAGIC.len() as u64,
-            buses: Vec::new(),
-            buses_written: 0,
-            group: Vec::new(),
-            chunks: Vec::new(),
-            rows_total: 0,
-            groups: 0,
-            oldest_buffered_us: 0,
-        })
+    pub fn new(out: W, options: AppendOptions) -> Result<Self> {
+        let mut writer = StoreWriter::new(out, options.writer)?;
+        writer.group_rows = options.effective_flush_rows();
+        writer.out.flush()?;
+        Ok(AppendWriter { writer, options })
     }
 
     /// Appends one record, flushing a micro-batched group frame when the
@@ -158,22 +119,13 @@ impl<W: Write> AppendWriter<W> {
     ///
     /// Returns [`Error::Io`] if a frame flush fails.
     pub fn append(&mut self, record: &Record) -> Result<Option<GroupFlush>> {
-        let bus_id = self.intern_bus(&record.bus);
-        if self.group.is_empty() {
-            self.oldest_buffered_us = record.timestamp_us;
-        }
-        self.group.push(PendingRow {
-            index: self.rows_total,
-            timestamp_us: record.timestamp_us,
-            bus_id,
-            message_id: record.message_id,
-            protocol: protocol_tag(record.protocol),
-            payload: record.payload.clone(),
-        });
-        self.rows_total += 1;
-        let rows_due = self.group.len() >= self.options.effective_flush_rows();
+        self.writer.buffer(record);
+        let buffered = &self.writer.group;
+        let rows_due = buffered.len() >= self.options.effective_flush_rows();
         let time_due = self.options.flush_interval_us > 0
-            && record.timestamp_us.saturating_sub(self.oldest_buffered_us)
+            && record
+                .timestamp_us
+                .saturating_sub(buffered[0].record.timestamp_us)
                 >= self.options.flush_interval_us;
         if rows_due || time_due {
             return self.flush();
@@ -190,75 +142,18 @@ impl<W: Write> AppendWriter<W> {
     ///
     /// Returns [`Error::Io`] on write failure.
     pub fn flush(&mut self) -> Result<Option<GroupFlush>> {
-        if self.group.is_empty() {
-            return Ok(None);
-        }
         let started = Instant::now();
-        let mut rows = std::mem::take(&mut self.group);
-        if self.options.writer.cluster {
-            rows.sort_by_key(|r| (r.bus_id, r.message_id, r.index));
-        }
-        let group_id = self.groups;
-        self.groups += 1;
-
-        // Cut chunks first: the frame header indexes them, so their bytes
-        // and metadata must exist before the header can be written.
-        let chunk_rows = self.options.writer.chunk_rows.max(1);
-        let mut chunk_bytes: Vec<Vec<u8>> = Vec::new();
-        let mut metas: Vec<ChunkMeta> = Vec::new();
-        for chunk in rows.chunks(chunk_rows) {
-            let encoded_rows: Vec<EncodedRow<'_>> = chunk
-                .iter()
-                .map(|r| EncodedRow {
-                    index: r.index,
-                    timestamp_us: r.timestamp_us,
-                    bus_id: r.bus_id,
-                    message_id: r.message_id,
-                    protocol: r.protocol,
-                    payload: &r.payload,
-                })
-                .collect();
-            let zone = ZoneMap::compute(&encoded_rows, self.buses.len());
-            let bytes = encode_chunk(&encoded_rows);
-            metas.push(ChunkMeta {
-                offset: 0, // absolute offset patched below, once known
-                len: bytes.len() as u32,
-                rows: chunk.len() as u32,
-                group: group_id,
-                checksum: checksum(&bytes),
-                zone,
-            });
-            chunk_bytes.push(bytes);
-        }
-
-        let header = encode_frame_header(
-            group_id,
-            self.options.writer.cluster,
-            &self.buses[self.buses_written..],
-            &metas,
-        );
-        self.out.write_all(GROUP_MAGIC)?;
-        self.out.write_all(&(header.len() as u32).to_le_bytes())?;
-        self.out.write_all(&header)?;
-        self.out.write_all(&checksum(&header).to_le_bytes())?;
-        let mut chunk_offset = self.offset + (GROUP_MAGIC.len() + 4 + header.len() + 8) as u64;
-        for (meta, bytes) in metas.iter_mut().zip(&chunk_bytes) {
-            meta.offset = chunk_offset;
-            self.out.write_all(bytes)?;
-            chunk_offset += bytes.len() as u64;
-        }
-        let frame_bytes = chunk_offset - self.offset;
-        self.offset = chunk_offset;
-        self.buses_written = self.buses.len();
-        let group_rows: usize = metas.iter().map(|m| m.rows as usize).sum();
-        self.chunks.extend(metas);
+        let start = self.writer.offset;
+        let Some((group, rows)) = self.writer.write_group()? else {
+            return Ok(None);
+        };
         // Durability point: push the frame through to the sink so a crash
         // after this call loses nothing.
-        self.out.flush()?;
+        self.writer.out.flush()?;
         Ok(Some(GroupFlush {
-            group: group_id,
-            rows: group_rows,
-            bytes: frame_bytes,
+            group,
+            rows,
+            bytes: self.writer.offset - start,
             seconds: started.elapsed().as_secs_f64(),
         }))
     }
@@ -271,111 +166,41 @@ impl<W: Write> AppendWriter<W> {
     ///
     /// Returns [`Error::Io`] / [`Error::Format`] on write or encoding
     /// failure.
-    pub fn seal(mut self) -> Result<W> {
-        self.flush()?;
-        let footer = Footer {
-            buses: std::mem::take(&mut self.buses),
-            rows: self.rows_total,
-            groups: self.groups,
-            group_rows: self.options.effective_flush_rows() as u32,
-            clustered: self.options.writer.cluster,
-            generation: u64::from(self.groups),
-            chunks: std::mem::take(&mut self.chunks),
-        };
-        write_seal(&mut self.out, self.offset, &footer)?;
-        Ok(self.out)
+    pub fn seal(self) -> Result<W> {
+        self.writer.finish()
     }
 
     /// Rows appended so far (flushed + buffered).
     pub fn rows(&self) -> u64 {
-        self.rows_total
+        self.writer.rows()
     }
 
     /// Bytes written so far (header + flushed frames; excludes buffered
     /// rows and any future seal).
     pub fn bytes_written(&self) -> u64 {
-        self.offset
+        self.writer.offset
     }
 
     /// Group frames flushed so far.
     pub fn groups(&self) -> u32 {
-        self.groups
+        self.writer.groups
     }
 
     /// Rows buffered in the not-yet-flushed tail group.
     pub fn buffered_rows(&self) -> usize {
-        self.group.len()
+        self.writer.group.len()
     }
-
-    fn intern_bus(&mut self, bus: &Arc<str>) -> u32 {
-        for (i, known) in self.buses.iter().enumerate() {
-            if known.as_ref() == bus.as_ref() {
-                return i as u32;
-            }
-        }
-        self.buses.push(bus.clone());
-        (self.buses.len() - 1) as u32
-    }
-}
-
-/// Writes `footer` + trailer at `offset` through `out`.
-fn write_seal<W: Write>(out: &mut W, offset: u64, footer: &Footer) -> Result<()> {
-    let footer_bytes = encode_footer(footer)?;
-    out.write_all(&footer_bytes)?;
-    out.write_all(&offset.to_le_bytes())?;
-    out.write_all(&(footer_bytes.len() as u64).to_le_bytes())?;
-    out.write_all(&checksum(&footer_bytes).to_le_bytes())?;
-    out.write_all(END_MAGIC)?;
-    out.flush()?;
-    Ok(())
-}
-
-/// Varint frame header: group id, flags, newly interned buses, chunk index.
-fn encode_frame_header(
-    group: u32,
-    clustered: bool,
-    new_buses: &[Arc<str>],
-    metas: &[ChunkMeta],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + metas.len() * 32);
-    varint::write_u64(&mut out, u64::from(group));
-    out.push(u8::from(clustered));
-    varint::write_u64(&mut out, new_buses.len() as u64);
-    for bus in new_buses {
-        varint::write_u64(&mut out, bus.len() as u64);
-        out.extend_from_slice(bus.as_bytes());
-    }
-    varint::write_u64(&mut out, metas.len() as u64);
-    for meta in metas {
-        varint::write_u64(&mut out, u64::from(meta.rows));
-        varint::write_u64(&mut out, u64::from(meta.len));
-        out.extend_from_slice(&meta.checksum.to_le_bytes());
-        varint::write_u64(&mut out, meta.zone.min_t_us);
-        varint::write_u64(&mut out, meta.zone.max_t_us);
-        varint::write_u64(&mut out, u64::from(meta.zone.min_mid));
-        varint::write_u64(&mut out, u64::from(meta.zone.max_mid));
-        varint::write_u64(&mut out, meta.zone.bus_bits.len() as u64);
-        out.extend_from_slice(&meta.zone.bus_bits);
-    }
-    out
-}
-
-/// One decoded group frame.
-struct FrameInfo {
-    group: u32,
-    clustered: bool,
-    /// Chunk index with absolute file offsets.
-    metas: Vec<ChunkMeta>,
-    /// Decoded records (only when requested), in on-disk (clustered) order.
-    records: Option<Vec<IndexedRecord>>,
-    /// File offset just past the frame.
-    end: u64,
 }
 
 /// Outcome of trying to read one frame at a file position.
 enum FrameRead {
-    /// A complete, checksum-valid frame.
-    Complete(FrameInfo),
+    /// A complete, checksum-valid frame, its records decoded in on-disk
+    /// (clustered) order, ending at file offset `end`.
+    Complete {
+        frame: FrameHeader,
+        records: Vec<IndexedRecord>,
+        end: u64,
+    },
     /// Not enough bytes yet — a torn tail (recovery) or a frame still
     /// being written (follower).
     Incomplete,
@@ -387,143 +212,88 @@ enum FrameRead {
     Corrupt(String),
 }
 
-/// Reads the frame at `pos`. `buses` is extended with the frame's newly
-/// interned names only when the frame is complete and valid.
+/// Reads and decodes the frame at `pos`. `buses` is extended with the
+/// frame's newly interned names only when the frame is complete and valid.
 fn read_frame<R: Read + Seek>(
     inner: &mut R,
     pos: u64,
     file_len: u64,
     buses: &mut Vec<Arc<str>>,
-    want_records: bool,
 ) -> Result<FrameRead> {
-    let avail = file_len.saturating_sub(pos);
-    if avail < (GROUP_MAGIC.len() + 4) as u64 {
+    match try_read_frame(inner, pos, file_len, buses) {
+        Err(Error::Io(e)) => Err(Error::Io(e)),
+        Err(e) => Ok(FrameRead::Corrupt(e.to_string())),
+        read => read,
+    }
+}
+
+/// [`read_frame`] with invalid bytes reported as errors.
+fn try_read_frame<R: Read + Seek>(
+    inner: &mut R,
+    pos: u64,
+    file_len: u64,
+    buses: &mut Vec<Arc<str>>,
+) -> Result<FrameRead> {
+    let mut prefix = [0u8; 12];
+    if file_len.saturating_sub(pos) < prefix.len() as u64 {
         return Ok(FrameRead::Incomplete);
     }
     inner.seek(SeekFrom::Start(pos))?;
-    let mut magic = [0u8; 8];
-    inner.read_exact(&mut magic)?;
-    if &magic != GROUP_MAGIC {
+    inner.read_exact(&mut prefix)?;
+    if &prefix[..8] != GROUP_MAGIC {
         return Ok(FrameRead::NotAFrame);
     }
-    let mut len4 = [0u8; 4];
-    inner.read_exact(&mut len4)?;
-    let header_len = u32::from_le_bytes(len4);
-    if header_len > MAX_HEADER_LEN {
-        return Ok(FrameRead::Corrupt(format!(
+    let header_len = u32::from_le_bytes(prefix[8..].try_into().expect("4 bytes"));
+    if header_len > MAX_FRAME_HEADER_LEN {
+        return Err(Error::Format(format!(
             "frame header length {header_len} exceeds cap"
         )));
     }
-    if avail < (GROUP_MAGIC.len() + 4 + header_len as usize + 8) as u64 {
+    let chunks_start = pos + (FRAME_OVERHEAD as u64) + u64::from(header_len);
+    if file_len < chunks_start {
         return Ok(FrameRead::Incomplete);
     }
-    let mut header = vec![0u8; header_len as usize];
+    let mut header = vec![0u8; header_len as usize + 8];
     inner.read_exact(&mut header)?;
-    let mut sum8 = [0u8; 8];
-    inner.read_exact(&mut sum8)?;
-    if checksum(&header) != u64::from_le_bytes(sum8) {
-        return Ok(FrameRead::Corrupt("frame header checksum mismatch".into()));
+    let (header, sum) = header.split_at(header_len as usize);
+    if checksum(header) != u64::from_le_bytes(sum.try_into().expect("8 bytes")) {
+        return Err(Error::Format("frame header checksum mismatch".into()));
     }
-
-    // Parse the header.
-    let mut cur = varint::Cursor::new(&header);
-    type ParsedHeader = (u32, bool, Vec<Arc<str>>, Vec<ChunkMeta>);
-    let mut parse = || -> Result<ParsedHeader> {
-        let group = u32::try_from(cur.read_u64()?)
-            .map_err(|_| Error::Format("frame group id out of range".into()))?;
-        let clustered = cur.read_u8()? != 0;
-        let n_buses = cur.read_u64()? as usize;
-        if n_buses > header.len() {
-            return Err(Error::Format("frame bus count exceeds header".into()));
-        }
-        let mut new_buses = Vec::with_capacity(n_buses);
-        for _ in 0..n_buses {
-            let len = cur.read_u64()? as usize;
-            let bytes = cur.read_slice(len)?;
-            let name = std::str::from_utf8(bytes)
-                .map_err(|_| Error::Format("frame bus name is not utf-8".into()))?;
-            new_buses.push(Arc::<str>::from(name));
-        }
-        let n_chunks = cur.read_u64()? as usize;
-        if n_chunks > header.len() {
-            return Err(Error::Format("frame chunk count exceeds header".into()));
-        }
-        let mut metas = Vec::with_capacity(n_chunks);
-        for _ in 0..n_chunks {
-            let rows = u32::try_from(cur.read_u64()?)
-                .map_err(|_| Error::Format("frame chunk rows out of range".into()))?;
-            let len = u32::try_from(cur.read_u64()?)
-                .map_err(|_| Error::Format("frame chunk length out of range".into()))?;
-            let chunk_sum = cur.read_u64_le()?;
-            let min_t_us = cur.read_u64()?;
-            let max_t_us = cur.read_u64()?;
-            let min_mid = u32::try_from(cur.read_u64()?)
-                .map_err(|_| Error::Format("frame zone min mid out of range".into()))?;
-            let max_mid = u32::try_from(cur.read_u64()?)
-                .map_err(|_| Error::Format("frame zone max mid out of range".into()))?;
-            let bits_len = cur.read_u64()? as usize;
-            let bus_bits = cur.read_slice(bits_len)?.to_vec();
-            metas.push(ChunkMeta {
-                offset: 0,
-                len,
-                rows,
-                group: 0,
-                checksum: chunk_sum,
-                zone: ZoneMap {
-                    min_t_us,
-                    max_t_us,
-                    min_mid,
-                    max_mid,
-                    bus_bits,
-                },
-            });
-        }
-        Ok((group, clustered, new_buses, metas))
-    };
-    let (group, clustered, new_buses, mut metas) = match parse() {
-        Ok(parsed) => parsed,
-        Err(Error::Io(e)) => return Err(Error::Io(e)),
-        Err(e) => return Ok(FrameRead::Corrupt(e.to_string())),
-    };
-
-    // Validate the chunk bytes.
-    let chunks_start = pos + (GROUP_MAGIC.len() + 4 + header.len() + 8) as u64;
-    let chunk_total: u64 = metas.iter().map(|m| u64::from(m.len)).sum();
-    if file_len.saturating_sub(chunks_start) < chunk_total {
+    let mut frame = decode_frame_header(header, chunks_start)?;
+    let end = frame
+        .chunks
+        .last()
+        .map_or(chunks_start, |m| m.offset + u64::from(m.len));
+    if file_len < end {
         return Ok(FrameRead::Incomplete);
     }
     let mut extended = buses.clone();
-    extended.extend(new_buses.iter().cloned());
-    let mut offset = chunks_start;
-    let mut records = want_records.then(Vec::new);
-    for meta in &mut metas {
-        meta.offset = offset;
-        meta.group = group;
-        let mut bytes = vec![0u8; meta.len as usize];
-        inner.seek(SeekFrom::Start(offset))?;
-        inner.read_exact(&mut bytes)?;
-        if checksum(&bytes) != meta.checksum {
-            return Ok(FrameRead::Corrupt(format!(
-                "chunk checksum mismatch in group {group}"
-            )));
-        }
-        if let Some(records) = records.as_mut() {
-            match decode_chunk(&bytes, &extended) {
-                Ok(mut rows) => records.append(&mut rows),
-                Err(Error::Io(e)) => return Err(Error::Io(e)),
-                Err(e) => return Ok(FrameRead::Corrupt(e.to_string())),
-            }
-        }
-        offset += u64::from(meta.len);
+    extended.append(&mut frame.new_buses);
+    let mut records = Vec::new();
+    for (i, meta) in frame.chunks.iter().enumerate() {
+        records.append(&mut read_chunk(inner, meta, i, &extended)?);
     }
     *buses = extended;
-    Ok(FrameRead::Complete(FrameInfo {
-        group,
-        clustered,
-        metas,
+    Ok(FrameRead::Complete {
+        frame,
         records,
-        end: offset,
-    }))
+        end,
+    })
+}
+
+/// Checks the store header of `inner` and returns the file length.
+fn read_header<R: Read + Seek>(inner: &mut R) -> Result<u64> {
+    let file_len = inner.seek(SeekFrom::End(0))?;
+    if file_len < MAGIC.len() as u64 {
+        return Err(Error::BadMagic);
+    }
+    inner.seek(SeekFrom::Start(0))?;
+    let mut magic = [0u8; 8];
+    inner.read_exact(&mut magic)?;
+    if &magic != MAGIC {
+        return Err(Error::BadMagic);
+    }
+    Ok(file_len)
 }
 
 /// Result of [`recover`]: the rebuilt index plus what the walk found.
@@ -550,108 +320,73 @@ impl Recovered {
     }
 }
 
-/// Walks the group frames of `inner`, rebuilding the footer index from
-/// checksummed frame headers and truncating (logically) any torn tail.
-///
-/// Works on sealed files too: the walk stops at the footer, whose
-/// validated contents are then preferred.
+/// Recovers the index of `inner`. A valid seal (footer + trailer) is
+/// accepted as is, without reading any chunk. Otherwise the group frames
+/// are walked, every header and chunk checksum-validated and decoded, and
+/// the index rebuilt from the complete frames; the torn tail is truncated
+/// (logically).
 ///
 /// # Errors
 ///
-/// Returns [`Error::BadMagic`] when the file is not an `.ivns` store, and
-/// [`Error::Io`] on read failure. A torn or corrupt tail is *not* an
-/// error — it is truncated and reported via [`Recovered::torn_bytes`].
+/// Returns [`Error::BadMagic`] when the file is not an `.ivns` store,
+/// [`Error::Format`] when it has neither a valid seal nor a group frame
+/// after the header (a frame-less file whose seal is damaged), and
+/// [`Error::Io`] on read failure. A torn or corrupt tail is *not* an error
+/// — it is truncated and reported via [`Recovered::torn_bytes`].
 pub fn recover_reader<R: Read + Seek>(inner: &mut R) -> Result<Recovered> {
-    let file_len = inner.seek(SeekFrom::End(0))?;
-    inner.seek(SeekFrom::Start(0))?;
-    let mut magic = [0u8; 8];
-    if file_len < MAGIC.len() as u64 {
-        return Err(Error::BadMagic);
-    }
-    inner.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(Error::BadMagic);
+    let file_len = read_header(inner)?;
+    match read_seal(inner, file_len) {
+        Ok((_, footer)) => {
+            return Ok(Recovered {
+                footer,
+                sealed: true,
+                valid_len: file_len,
+                file_len,
+            })
+        }
+        Err(Error::Io(e)) => return Err(Error::Io(e)),
+        Err(_) => {} // unsealed or torn: rebuild the index from the frames
     }
 
-    let mut buses: Vec<Arc<str>> = Vec::new();
-    let mut chunks: Vec<ChunkMeta> = Vec::new();
-    let mut rows = 0u64;
-    let mut groups = 0u32;
-    let mut max_group_rows = 0u64;
-    let mut clustered = true;
+    let mut footer = Footer {
+        buses: Vec::new(),
+        rows: 0,
+        groups: 0,
+        group_rows: 1,
+        clustered: true,
+        generation: 0,
+        chunks: Vec::new(),
+    };
     let mut pos = MAGIC.len() as u64;
     // Incomplete, non-frame and corrupt reads all end the valid prefix.
-    while let FrameRead::Complete(frame) = read_frame(inner, pos, file_len, &mut buses, false)? {
-        let frame_rows: u64 = frame.metas.iter().map(|m| u64::from(m.rows)).sum();
-        rows += frame_rows;
-        max_group_rows = max_group_rows.max(frame_rows);
-        clustered = clustered && frame.clustered;
-        groups = groups.max(frame.group + 1);
-        chunks.extend(frame.metas);
-        pos = frame.end;
+    let stop = loop {
+        match read_frame(inner, pos, file_len, &mut footer.buses)? {
+            FrameRead::Complete { frame, end, .. } => {
+                let rows: u32 = frame.chunks.iter().map(|m| m.rows).sum();
+                footer.rows += u64::from(rows);
+                footer.group_rows = footer.group_rows.max(rows);
+                footer.clustered &= frame.clustered;
+                footer.groups = footer.groups.max(frame.group + 1);
+                footer.chunks.extend(frame.chunks);
+                pos = end;
+            }
+            other => break other,
+        }
+    };
+    if pos == MAGIC.len() as u64 && matches!(stop, FrameRead::NotAFrame) {
+        // Not an unsealed frame file: recovering it would index nothing,
+        // and resealing would truncate away whatever it holds.
+        return Err(Error::Format(
+            "no valid seal and no group frame after the header".into(),
+        ));
     }
-
-    // A sealed file's footer begins exactly where its frames end; prefer
-    // the validated footer when the trailer checks out.
-    if let Some(footer) = try_read_footer(inner, pos, file_len)? {
-        return Ok(Recovered {
-            footer,
-            sealed: true,
-            valid_len: file_len,
-            file_len,
-        });
-    }
-
+    footer.generation = u64::from(footer.groups);
     Ok(Recovered {
-        footer: Footer {
-            buses,
-            rows,
-            groups,
-            group_rows: max_group_rows.max(1) as u32,
-            clustered,
-            generation: u64::from(groups),
-            chunks,
-        },
+        footer,
         sealed: false,
         valid_len: pos,
         file_len,
     })
-}
-
-/// Validates the trailer + footer of a sealed file whose frames end at
-/// `frames_end`. Returns `None` when no valid seal is present.
-fn try_read_footer<R: Read + Seek>(
-    inner: &mut R,
-    frames_end: u64,
-    file_len: u64,
-) -> Result<Option<Footer>> {
-    if file_len < frames_end + TRAILER_LEN as u64 {
-        return Ok(None);
-    }
-    inner.seek(SeekFrom::Start(file_len - TRAILER_LEN as u64))?;
-    let mut trailer = [0u8; TRAILER_LEN];
-    inner.read_exact(&mut trailer)?;
-    if &trailer[24..32] != END_MAGIC {
-        return Ok(None);
-    }
-    let footer_offset = u64::from_le_bytes(trailer[0..8].try_into().expect("8 bytes"));
-    let footer_len = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
-    let footer_sum = u64::from_le_bytes(trailer[16..24].try_into().expect("8 bytes"));
-    let trailer_start = file_len - TRAILER_LEN as u64;
-    if footer_offset != frames_end || footer_offset.saturating_add(footer_len) != trailer_start {
-        return Ok(None);
-    }
-    inner.seek(SeekFrom::Start(footer_offset))?;
-    let mut footer_bytes = vec![0u8; footer_len as usize];
-    inner.read_exact(&mut footer_bytes)?;
-    if checksum(&footer_bytes) != footer_sum {
-        return Ok(None);
-    }
-    match crate::layout::decode_footer(&footer_bytes) {
-        Ok(footer) => Ok(Some(footer)),
-        Err(Error::Io(e)) => Err(Error::Io(e)),
-        Err(_) => Ok(None),
-    }
 }
 
 /// Recovers the index of the store at `path` (sealed or torn).
@@ -681,7 +416,8 @@ pub fn open_recovered<P: AsRef<Path>>(
 
 /// Seals a recovered store in place: truncates the torn tail and appends
 /// the standard footer + trailer, after which [`StoreReader::open`] works
-/// unchanged. Already-sealed files are left untouched.
+/// unchanged. Already-sealed files, frame-less ones included, are left
+/// untouched.
 ///
 /// # Errors
 ///
@@ -721,9 +457,9 @@ pub struct TailBatch {
     pub sealed: bool,
 }
 
-/// Tails a growing append-mode store, emitting each completed group once.
+/// Tails a growing store, emitting each completed group once.
 ///
-/// Safe to run concurrently with an [`AppendWriter`] on the same file:
+/// Safe to run concurrently with a writer on the same file:
 /// frames are append-only and a frame is only surfaced once its header and
 /// every chunk checksum validate, so a partially written tail is simply
 /// not yet visible.
@@ -753,16 +489,7 @@ impl<R: Read + Seek> StoreFollower<R> {
     ///
     /// Returns [`Error::BadMagic`] when the header is absent or wrong.
     pub fn new(mut inner: R) -> Result<Self> {
-        let len = inner.seek(SeekFrom::End(0))?;
-        if len < MAGIC.len() as u64 {
-            return Err(Error::BadMagic);
-        }
-        inner.seek(SeekFrom::Start(0))?;
-        let mut magic = [0u8; 8];
-        inner.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(Error::BadMagic);
-        }
+        read_header(&mut inner)?;
         Ok(StoreFollower {
             inner,
             pos: MAGIC.len() as u64,
@@ -779,11 +506,10 @@ impl<R: Read + Seek> StoreFollower<R> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`] on read failure and
-    /// [`Error::Format`] / [`Error::ChunkChecksum`]-shaped corruption as
-    /// [`Error::Format`] when a *complete* frame fails validation (an
-    /// appender never rewrites flushed bytes, so this is real corruption,
-    /// not a race).
+    /// Returns [`Error::Io`] on read failure, and [`Error::Format`] when a
+    /// *complete* frame fails validation (an appender never rewrites
+    /// flushed bytes, so this is real corruption, not a race) or when the
+    /// file is sealed without group frames (written before they existed).
     pub fn poll(&mut self) -> Result<TailBatch> {
         if self.sealed {
             return Ok(TailBatch {
@@ -794,21 +520,36 @@ impl<R: Read + Seek> StoreFollower<R> {
         let file_len = self.inner.seek(SeekFrom::End(0))?;
         let mut out = TailBatch::default();
         loop {
-            match read_frame(&mut self.inner, self.pos, file_len, &mut self.buses, true)? {
-                FrameRead::Complete(frame) => {
-                    let mut rows = frame.records.expect("records requested");
-                    rows.sort_by_key(|r| r.index);
+            match read_frame(&mut self.inner, self.pos, file_len, &mut self.buses)? {
+                FrameRead::Complete {
+                    frame,
+                    mut records,
+                    end,
+                } => {
+                    records.sort_by_key(|r| r.index);
                     out.groups.push(TailGroup {
                         group: frame.group,
-                        records: rows.into_iter().map(|r| r.record).collect(),
+                        records: records.into_iter().map(|r| r.record).collect(),
                     });
-                    self.pos = frame.end;
+                    self.pos = end;
                 }
                 FrameRead::Incomplete => break,
                 FrameRead::NotAFrame => {
-                    if try_read_footer(&mut self.inner, self.pos, file_len)?.is_some() {
-                        self.sealed = true;
-                        out.sealed = true;
+                    match read_seal(&mut self.inner, file_len) {
+                        Ok((footer_offset, _)) if footer_offset == self.pos => {
+                            self.sealed = true;
+                            out.sealed = true;
+                        }
+                        Ok(_) => {
+                            return Err(Error::Format(format!(
+                                "no group frame at offset {}: the store was sealed \
+                                 without group frames; rewrite it with `ivnt store \
+                                 compact` to follow it",
+                                self.pos
+                            )));
+                        }
+                        Err(Error::Io(e)) => return Err(Error::Io(e)),
+                        Err(_) => {} // the seal is still being written
                     }
                     break;
                 }
@@ -821,10 +562,5 @@ impl<R: Read + Seek> StoreFollower<R> {
             }
         }
         Ok(out)
-    }
-
-    /// File offset of the next unread frame.
-    pub fn position(&self) -> u64 {
-        self.pos
     }
 }

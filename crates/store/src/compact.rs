@@ -8,7 +8,10 @@
 //! message ids and pruning stops firing. Compaction streams the sealed
 //! file through a fresh [`StoreWriter`] in exact trace order, re-buffering
 //! rows into full `chunks_per_group × chunk_rows` groups and re-clustering
-//! each one — the rerun-style "merge many small batches" rewrite.
+//! each one — the rerun-style "merge many small batches" rewrite. The
+//! output is framed like every file [`StoreWriter`] writes, so it can be
+//! recovered and followed; the input may also be a store sealed before
+//! group frames existed, which makes compaction the way to upgrade one.
 //!
 //! The rewritten file holds **bit-identical contents**: the same records
 //! in the same trace order ([`StoreReader::read_all`] on input and output
@@ -95,7 +98,7 @@ pub fn compact<R: Read + Seek, W: Write>(
 /// # Errors
 ///
 /// Same conditions as [`compact`], plus [`StoreReader::open`]'s validation
-/// errors — an unsealed append-mode file must be sealed (e.g. with
+/// errors — an unsealed (torn or still growing) file must be sealed (e.g. with
 /// [`seal_recovered`](crate::append::seal_recovered)) first. Refuses with
 /// [`Error::Io`] (`InvalidInput`), before touching either file, when
 /// `output` already exists as the very file `input` names (any alias:

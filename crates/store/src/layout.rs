@@ -1,19 +1,22 @@
-//! On-disk layout: magics, checksums, zone maps, chunk codec and footer.
+//! On-disk layout: magics, checksums, zone maps, chunk codec, group
+//! frames, footer and trailer.
 //!
 //! A store file is one self-describing journey:
 //!
 //! ```text
-//! ┌──────────────┐
-//! │ magic IVNS1\0 │  8 bytes
-//! ├──────────────┤
-//! │ chunk 0      │  encoded columnar chunk (checksummed)
-//! │ chunk 1      │
-//! │ ...          │
-//! ├──────────────┤
-//! │ footer       │  bus dictionary + per-chunk index with zone maps
-//! ├──────────────┤
-//! │ trailer      │  footer offset/len/checksum + magic IVNSEND1 (32 bytes)
-//! └──────────────┘
+//! ┌────────────────┐
+//! │ magic IVNS1\0  │  8 bytes
+//! ├────────────────┤
+//! │ group frame 0  │  GROUP_MAGIC | header len u32 | header | header checksum
+//! │   chunk 0      │  encoded columnar chunks of the group (checksummed)
+//! │   chunk 1      │
+//! │ group frame 1  │
+//! │ ...            │
+//! ├────────────────┤
+//! │ footer         │  bus dictionary + per-chunk index with zone maps
+//! ├────────────────┤
+//! │ trailer        │  footer offset/len/checksum + magic IVNSEND1 (32 bytes)
+//! └────────────────┘
 //! ```
 //!
 //! Chunks hold a fixed number of rows (the last chunk may be short) and are
@@ -23,11 +26,17 @@
 //! is covered by an FNV-1a 64 checksum stored in the footer index, so a
 //! reader touching only surviving chunks still detects corruption in what it
 //! reads — and never pays for what it skips.
+//!
+//! Each group frame's header indexes just that group (chunk metadata and
+//! the bus names it interned first), so recovery and followers can read a
+//! growing file; a sealed file's reader consults only the footer, whose
+//! offsets skip the headers. Files sealed before frames existed hold bare
+//! chunks, indexed by their seal alone.
 
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
-use crate::record::{protocol_from_tag, Record};
+use crate::record::{protocol_from_tag, protocol_tag, Record};
 use crate::varint::{self, Cursor};
 
 /// Leading file magic (8 bytes, versioned).
@@ -39,6 +48,16 @@ pub const END_MAGIC: &[u8; 8] = b"IVNSEND1";
 /// Fixed byte length of the trailer:
 /// `footer_offset u64 | footer_len u64 | footer_checksum u64 | END_MAGIC`.
 pub const TRAILER_LEN: usize = 8 + 8 + 8 + 8;
+
+/// Marker opening every group frame.
+pub const GROUP_MAGIC: &[u8; 8] = b"IVNSGRP\0";
+
+/// Bytes a frame adds around its header: magic, header length, checksum.
+pub(crate) const FRAME_OVERHEAD: usize = GROUP_MAGIC.len() + 4 + 8;
+
+/// Upper bound on one frame header (sanity cap while walking; a header
+/// indexes at most one group's chunks and bus names).
+pub(crate) const MAX_FRAME_HEADER_LEN: u32 = 16 << 20;
 
 /// FNV-1a 64 — the store's checksum. Not cryptographic; it detects the
 /// bit rot and truncation flaky capture hardware produces.
@@ -73,7 +92,7 @@ pub struct ZoneMap {
 
 impl ZoneMap {
     /// Zone map of `rows` against a dictionary of `bus_count` entries.
-    pub fn compute(rows: &[EncodedRow<'_>], bus_count: usize) -> ZoneMap {
+    pub fn compute(rows: &[IndexedRecord], bus_count: usize) -> ZoneMap {
         let mut zm = ZoneMap {
             min_t_us: u64::MAX,
             max_t_us: 0,
@@ -82,10 +101,10 @@ impl ZoneMap {
             bus_bits: vec![0u8; bus_count.div_ceil(8)],
         };
         for r in rows {
-            zm.min_t_us = zm.min_t_us.min(r.timestamp_us);
-            zm.max_t_us = zm.max_t_us.max(r.timestamp_us);
-            zm.min_mid = zm.min_mid.min(r.message_id);
-            zm.max_mid = zm.max_mid.max(r.message_id);
+            zm.min_t_us = zm.min_t_us.min(r.record.timestamp_us);
+            zm.max_t_us = zm.max_t_us.max(r.record.timestamp_us);
+            zm.min_mid = zm.min_mid.min(r.record.message_id);
+            zm.max_mid = zm.max_mid.max(r.record.message_id);
             zm.bus_bits[r.bus_id as usize / 8] |= 1 << (r.bus_id % 8);
         }
         zm
@@ -192,25 +211,9 @@ impl Footer {
     }
 }
 
-/// One record of a chunk under encoding, referencing the writer's buffers.
-#[derive(Debug)]
-pub struct EncodedRow<'a> {
-    /// Original position of the row within the whole trace.
-    pub index: u64,
-    /// Timestamp (µs).
-    pub timestamp_us: u64,
-    /// Dictionary id of the bus.
-    pub bus_id: u32,
-    /// Message id.
-    pub message_id: u32,
-    /// Protocol tag.
-    pub protocol: u8,
-    /// Payload bytes.
-    pub payload: &'a [u8],
-}
-
-/// Encodes one chunk column-wise into bytes.
-pub fn encode_chunk(rows: &[EncodedRow<'_>]) -> Vec<u8> {
+/// Encodes one chunk column-wise into bytes; `bus_id`s index the writer's
+/// bus dictionary, `record.bus` is not read.
+pub fn encode_chunk(rows: &[IndexedRecord]) -> Vec<u8> {
     let mut out = Vec::with_capacity(rows.len() * 12);
     out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
     // Original row indices: absolute first, zigzag deltas after.
@@ -224,11 +227,13 @@ pub fn encode_chunk(rows: &[EncodedRow<'_>]) -> Vec<u8> {
     // Timestamps, same delta scheme.
     for (i, r) in rows.iter().enumerate() {
         if i == 0 {
-            varint::write_u64(&mut out, r.timestamp_us);
+            varint::write_u64(&mut out, r.record.timestamp_us);
         } else {
             varint::write_i64(
                 &mut out,
-                r.timestamp_us.wrapping_sub(rows[i - 1].timestamp_us) as i64,
+                r.record
+                    .timestamp_us
+                    .wrapping_sub(rows[i - 1].record.timestamp_us) as i64,
             );
         }
     }
@@ -236,21 +241,22 @@ pub fn encode_chunk(rows: &[EncodedRow<'_>]) -> Vec<u8> {
         varint::write_u64(&mut out, u64::from(r.bus_id));
     }
     for r in rows {
-        varint::write_u64(&mut out, u64::from(r.message_id));
+        varint::write_u64(&mut out, u64::from(r.record.message_id));
     }
     for r in rows {
-        out.push(r.protocol);
+        out.push(protocol_tag(r.record.protocol));
     }
     for r in rows {
-        varint::write_u64(&mut out, r.payload.len() as u64);
+        varint::write_u64(&mut out, r.record.payload.len() as u64);
     }
     for r in rows {
-        out.extend_from_slice(r.payload);
+        out.extend_from_slice(&r.record.payload);
     }
     out
 }
 
-/// A decoded row carrying its original trace position.
+/// A row with its original trace position and the dictionary id of its
+/// bus: what the chunk codec encodes and decodes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexedRecord {
     /// Original position of the row within the whole trace.
@@ -309,10 +315,7 @@ pub fn decode_chunk(bytes: &[u8], buses: &[Arc<str>]) -> Result<Vec<IndexedRecor
     }
     let mut mids = Vec::with_capacity(rows);
     for _ in 0..rows {
-        let mid = cur.read_u64()?;
-        let mid = u32::try_from(mid)
-            .map_err(|_| Error::Format(format!("message id {mid} exceeds u32")))?;
-        mids.push(mid);
+        mids.push(cur.read_u32("message id")?);
     }
     let mut protocols = Vec::with_capacity(rows);
     for _ in 0..rows {
@@ -479,23 +482,173 @@ pub fn decode_footer(bytes: &[u8]) -> Result<Footer> {
     })
 }
 
+/// Encodes a group frame header: group id, clustered flag, the bus names
+/// the group interned first, and the group's chunk index. Chunk offsets
+/// are implied — the chunks follow the header back to back.
+pub(crate) fn encode_frame_header(
+    group: u32,
+    clustered: bool,
+    new_buses: &[Arc<str>],
+    chunks: &[ChunkMeta],
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 + chunks.len() * 32);
+    varint::write_u64(&mut out, u64::from(group));
+    out.push(u8::from(clustered));
+    varint::write_u64(&mut out, new_buses.len() as u64);
+    for bus in new_buses {
+        varint::write_u64(&mut out, bus.len() as u64);
+        out.extend_from_slice(bus.as_bytes());
+    }
+    varint::write_u64(&mut out, chunks.len() as u64);
+    for meta in chunks {
+        varint::write_u64(&mut out, u64::from(meta.rows));
+        varint::write_u64(&mut out, u64::from(meta.len));
+        out.extend_from_slice(&meta.checksum.to_le_bytes());
+        varint::write_u64(&mut out, meta.zone.min_t_us);
+        varint::write_u64(&mut out, meta.zone.max_t_us);
+        varint::write_u64(&mut out, u64::from(meta.zone.min_mid));
+        varint::write_u64(&mut out, u64::from(meta.zone.max_mid));
+        varint::write_u64(&mut out, meta.zone.bus_bits.len() as u64);
+        out.extend_from_slice(&meta.zone.bus_bits);
+    }
+    out
+}
+
+/// A decoded group frame header.
+pub(crate) struct FrameHeader {
+    /// Group id.
+    pub group: u32,
+    /// Whether the group was clustered before chunking.
+    pub clustered: bool,
+    /// Bus names the group interned first, in dictionary order.
+    pub new_buses: Vec<Arc<str>>,
+    /// The group's chunk index with absolute file offsets.
+    pub chunks: Vec<ChunkMeta>,
+}
+
+/// Decodes a header written by [`encode_frame_header`] whose chunks start
+/// at file offset `chunks_start`.
+///
+/// # Errors
+///
+/// Returns [`Error::Truncated`] / [`Error::Format`] for malformed bytes.
+pub(crate) fn decode_frame_header(bytes: &[u8], chunks_start: u64) -> Result<FrameHeader> {
+    let mut cur = Cursor::new(bytes);
+    let group = cur.read_u32("frame group id")?;
+    let clustered = cur.read_u8()? != 0;
+    let mut new_buses = Vec::new();
+    for _ in 0..cur.read_u64()? {
+        let len = cur.read_u64()? as usize;
+        let name = std::str::from_utf8(cur.read_slice(len)?)
+            .map_err(|_| Error::Format("frame bus name is not utf-8".into()))?;
+        new_buses.push(Arc::from(name));
+    }
+    let mut chunks = Vec::new();
+    let mut offset = chunks_start;
+    for _ in 0..cur.read_u64()? {
+        // Fields are read in the order they appear: the encoding order.
+        let meta = ChunkMeta {
+            offset,
+            rows: cur.read_u32("chunk rows")?,
+            len: cur.read_u32("chunk length")?,
+            group,
+            checksum: cur.read_u64_le()?,
+            zone: ZoneMap {
+                min_t_us: cur.read_u64()?,
+                max_t_us: cur.read_u64()?,
+                min_mid: cur.read_u32("zone min mid")?,
+                max_mid: cur.read_u32("zone max mid")?,
+                bus_bits: {
+                    let len = cur.read_u64()? as usize;
+                    cur.read_slice(len)?.to_vec()
+                },
+            },
+        };
+        offset += u64::from(meta.len);
+        chunks.push(meta);
+    }
+    Ok(FrameHeader {
+        group,
+        clustered,
+        new_buses,
+        chunks,
+    })
+}
+
+/// Encodes the trailer sealing a file whose footer `footer_bytes` starts
+/// at `footer_offset`.
+pub fn encode_trailer(footer_offset: u64, footer_bytes: &[u8]) -> [u8; TRAILER_LEN] {
+    let mut trailer = [0u8; TRAILER_LEN];
+    trailer[0..8].copy_from_slice(&footer_offset.to_le_bytes());
+    trailer[8..16].copy_from_slice(&(footer_bytes.len() as u64).to_le_bytes());
+    trailer[16..24].copy_from_slice(&checksum(footer_bytes).to_le_bytes());
+    trailer[24..32].copy_from_slice(END_MAGIC);
+    trailer
+}
+
+/// Decodes the trailer ending a `file_len`-byte file into the footer's
+/// `(offset, length, checksum)`.
+///
+/// # Errors
+///
+/// Returns [`Error::Truncated`] when the end magic is missing or the
+/// footer would not lie between the file header and the trailer.
+pub fn decode_trailer(trailer: &[u8; TRAILER_LEN], file_len: u64) -> Result<(u64, usize, u64)> {
+    if &trailer[24..32] != END_MAGIC {
+        return Err(Error::Truncated("trailer magic missing".into()));
+    }
+    let word = |i: usize| u64::from_le_bytes(trailer[i..i + 8].try_into().expect("8 bytes"));
+    let (footer_offset, footer_len, footer_checksum) = (word(0), word(8), word(16));
+    let trailer_start = file_len.saturating_sub(TRAILER_LEN as u64);
+    if footer_offset
+        .checked_add(footer_len)
+        .is_none_or(|end| end != trailer_start)
+        || footer_offset < MAGIC.len() as u64
+    {
+        return Err(Error::Truncated("trailer points outside the file".into()));
+    }
+    let footer_len =
+        usize::try_from(footer_len).map_err(|_| Error::Format("footer length overflow".into()))?;
+    Ok((footer_offset, footer_len, footer_checksum))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::protocol_tag;
     use ivnt_protocol::message::Protocol;
 
-    fn rows<'a>(payloads: &'a [Vec<u8>]) -> Vec<EncodedRow<'a>> {
+    fn row(
+        index: u64,
+        bus_id: u32,
+        timestamp_us: u64,
+        mid: u32,
+        payload: Vec<u8>,
+    ) -> IndexedRecord {
+        IndexedRecord {
+            index,
+            bus_id,
+            record: Record {
+                timestamp_us,
+                bus: Arc::from(["FC", "DC"][bus_id as usize % 2]),
+                message_id: mid,
+                payload,
+                protocol: Protocol::Can,
+            },
+        }
+    }
+
+    fn rows(payloads: &[Vec<u8>]) -> Vec<IndexedRecord> {
         payloads
             .iter()
             .enumerate()
-            .map(|(i, p)| EncodedRow {
-                index: 10 + i as u64,
-                timestamp_us: 1_000 * i as u64,
-                bus_id: (i % 2) as u32,
-                message_id: 100 + (i % 3) as u32,
-                protocol: protocol_tag(Protocol::Can),
-                payload: p,
+            .map(|(i, p)| {
+                row(
+                    10 + i as u64,
+                    (i % 2) as u32,
+                    1_000 * i as u64,
+                    100 + (i % 3) as u32,
+                    p.clone(),
+                )
             })
             .collect()
     }
@@ -612,14 +765,7 @@ mod tests {
             Err(Error::Format(_))
         ));
         // Bus reference outside the dictionary.
-        let rows = [EncodedRow {
-            index: 0,
-            timestamp_us: 0,
-            bus_id: 7,
-            message_id: 0,
-            protocol: 0,
-            payload: &[],
-        }];
+        let rows = [row(0, 7, 0, 0, Vec::new())];
         let encoded = encode_chunk(&rows);
         assert!(matches!(
             decode_chunk(&encoded, &buses),

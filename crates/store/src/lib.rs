@@ -17,14 +17,17 @@
 //! positions so scans restore exact trace order per group — pruning that
 //! actually fires, at the cost of ~1 byte/row.
 //!
-//! - [`StoreWriter`] — streaming append, bounded by one row group.
+//! - [`StoreWriter`] — the one `.ivns` encoder: streaming append bounded
+//!   by one row group, each group written as a checksummed group frame,
+//!   the file sealed by a footer index and trailer.
 //! - [`StoreReader`] — validated open ([`Error::BadMagic`],
 //!   [`Error::Truncated`], checksum variants), [`Predicate`]-driven
 //!   [`StoreReader::scan`] with [`ScanStats`].
-//! - [`append`] — live-session mode: [`AppendWriter`] flushes
-//!   crash-recoverable micro-batched group frames, [`recover`] rebuilds
-//!   the index of a torn file by walking checksummed frames, and
-//!   [`StoreFollower`] tails a growing file group by group.
+//! - [`append`] — live-session mode and crash recovery: [`AppendWriter`]
+//!   adds a micro-batch flush policy to the encoder, [`recover`] accepts a
+//!   valid seal or rebuilds the index of a torn file by walking its
+//!   checksummed frames, and [`StoreFollower`] tails a growing file group
+//!   by group — whichever writer produced it.
 //! - [`durable`] — crash-safe whole-file replacement (temp file, sync,
 //!   rename) for every file the system rewrites.
 //! - [`schema`] — the canonical tabular form of a raw trace, shared with
@@ -93,6 +96,14 @@ mod tests {
             .collect()
     }
 
+    fn options(chunk_rows: usize, chunks_per_group: usize, cluster: bool) -> WriterOptions {
+        WriterOptions {
+            chunk_rows,
+            chunks_per_group,
+            cluster,
+        }
+    }
+
     fn write_store(records: &[Record], options: WriterOptions) -> Vec<u8> {
         let mut writer = StoreWriter::new(Vec::new(), options).unwrap();
         for r in records {
@@ -105,14 +116,7 @@ mod tests {
     fn roundtrip_preserves_order_and_content() {
         let records = cyclic_trace(1_000, 40);
         for cluster in [true, false] {
-            let bytes = write_store(
-                &records,
-                WriterOptions {
-                    chunk_rows: 64,
-                    chunks_per_group: 4,
-                    cluster,
-                },
-            );
+            let bytes = write_store(&records, options(64, 4, cluster));
             let mut reader = StoreReader::from_reader(Cursor::new(bytes)).unwrap();
             assert_eq!(reader.footer().rows, 1_000);
             assert_eq!(reader.read_all().unwrap(), records);
@@ -122,14 +126,7 @@ mod tests {
     #[test]
     fn selective_scan_filters_and_skips() {
         let records = cyclic_trace(4_096, 64);
-        let bytes = write_store(
-            &records,
-            WriterOptions {
-                chunk_rows: 64,
-                chunks_per_group: 16,
-                cluster: true,
-            },
-        );
+        let bytes = write_store(&records, options(64, 16, true));
         let mut reader = StoreReader::from_reader(Cursor::new(bytes)).unwrap();
         let pred = Predicate::for_messages([("FC", 2u32), ("DC", 63u32)]);
         let mut got = Vec::new();
@@ -161,14 +158,7 @@ mod tests {
         // Unclustered layout keeps chunks time-contiguous, so a narrow
         // window skips almost everything.
         let records = cyclic_trace(2_048, 16);
-        let bytes = write_store(
-            &records,
-            WriterOptions {
-                chunk_rows: 64,
-                chunks_per_group: 4,
-                cluster: false,
-            },
-        );
+        let bytes = write_store(&records, options(64, 4, false));
         let mut reader = StoreReader::from_reader(Cursor::new(bytes)).unwrap();
         let pred = Predicate::all().with_time_range_us(100 * 10_000, 109 * 10_000);
         let mut got = Vec::new();
@@ -202,14 +192,7 @@ mod tests {
             .map(|i| bus_record(i, &format!("B{}", i % 8), (i % 4) as u32))
             .collect();
         records.extend((16..20u64).map(|i| bus_record(i, "B8", 99)));
-        let bytes = write_store(
-            &records,
-            WriterOptions {
-                chunk_rows: 4,
-                chunks_per_group: 2,
-                cluster: true,
-            },
-        );
+        let bytes = write_store(&records, options(4, 2, true));
         let mut reader = StoreReader::from_reader(Cursor::new(bytes)).unwrap();
         assert_eq!(reader.footer().buses.len(), 9);
         assert_eq!(reader.read_all().unwrap(), records);
@@ -242,11 +225,7 @@ mod tests {
     #[test]
     fn group_range_scan_restricts_to_groups() {
         let records = cyclic_trace(1_024, 16);
-        let options = WriterOptions {
-            chunk_rows: 32,
-            chunks_per_group: 4,
-            cluster: true,
-        };
+        let options = options(32, 4, true);
         let bytes = write_store(&records, options);
         let mut reader = StoreReader::from_reader(Cursor::new(bytes)).unwrap();
         let spans = reader.footer().group_spans();
@@ -283,14 +262,7 @@ mod tests {
     #[test]
     fn union_scan_routes_back_to_per_predicate_scans() {
         let records = cyclic_trace(4_096, 64);
-        let bytes = write_store(
-            &records,
-            WriterOptions {
-                chunk_rows: 64,
-                chunks_per_group: 16,
-                cluster: true,
-            },
-        );
+        let bytes = write_store(&records, options(64, 16, true));
         let mut reader = StoreReader::from_reader(Cursor::new(bytes)).unwrap();
         let preds = [
             Predicate::for_messages([("FC", 2u32), ("FC", 4u32)]),
@@ -332,11 +304,7 @@ mod tests {
     #[test]
     fn generation_counts_group_flushes() {
         let records = cyclic_trace(1_024, 16);
-        let options = WriterOptions {
-            chunk_rows: 32,
-            chunks_per_group: 4,
-            cluster: true,
-        };
+        let options = options(32, 4, true);
         let bytes = write_store(&records, options);
         let reader = StoreReader::from_reader(Cursor::new(bytes)).unwrap();
         assert_eq!(reader.generation(), u64::from(reader.footer().groups));
@@ -350,11 +318,7 @@ mod tests {
         let mut aw = AppendWriter::new(
             Vec::new(),
             AppendOptions {
-                writer: WriterOptions {
-                    chunk_rows: 32,
-                    chunks_per_group: 2,
-                    cluster: true,
-                },
+                writer: options(32, 2, true),
                 flush_rows: 64,
                 flush_interval_us: 0,
             },
@@ -371,11 +335,7 @@ mod tests {
             "expected micro-groups, got {groups_before}"
         );
 
-        let out_options = WriterOptions {
-            chunk_rows: 128,
-            chunks_per_group: 8,
-            cluster: true,
-        };
+        let out_options = options(128, 8, true);
         let (out, report) = compact(&mut input, Vec::new(), out_options).unwrap();
         assert_eq!(report.rows, records.len() as u64);
         assert_eq!(report.groups_before, groups_before);
@@ -434,17 +394,15 @@ mod tests {
 
     #[test]
     fn corrupt_chunk_checksum_is_typed() {
-        let mut bytes = write_store(
-            &cyclic_trace(512, 8),
-            WriterOptions {
-                chunk_rows: 64,
-                chunks_per_group: 2,
-                cluster: true,
-            },
-        );
+        let mut bytes = write_store(&cyclic_trace(512, 8), options(64, 2, true));
         // Flip a byte inside the first chunk's payload region (after the
-        // 8-byte magic and the chunk's row-count word).
-        bytes[16] ^= 0xFF;
+        // chunk's row-count word).
+        let first = StoreReader::from_reader(Cursor::new(bytes.clone()))
+            .unwrap()
+            .footer()
+            .chunks[0]
+            .offset as usize;
+        bytes[first + 8] ^= 0xFF;
         let mut reader = StoreReader::from_reader(Cursor::new(bytes)).unwrap();
         let err = reader.read_all().unwrap_err();
         assert!(matches!(err, Error::ChunkChecksum { chunk: 0 }));

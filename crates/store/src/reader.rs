@@ -14,10 +14,11 @@ use std::collections::HashSet;
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::error::{Error, Result};
-use crate::layout::{checksum, decode_chunk, decode_footer, Footer, IndexedRecord};
-use crate::layout::{ChunkMeta, END_MAGIC, MAGIC, TRAILER_LEN};
+use crate::layout::{checksum, decode_chunk, decode_footer, decode_trailer, Footer, IndexedRecord};
+use crate::layout::{ChunkMeta, MAGIC, TRAILER_LEN};
 use crate::record::Record;
 
 /// What a scan is looking for. Conservative by construction: `None`
@@ -207,41 +208,13 @@ impl<R: Read + Seek> StoreReader<R> {
             return Err(Error::BadMagic);
         }
         let file_len = inner.seek(SeekFrom::End(0))?;
-        if file_len < (MAGIC.len() + TRAILER_LEN) as u64 {
-            return Err(Error::Truncated("no room for a trailer".into()));
-        }
-        inner.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
-        let mut trailer = [0u8; TRAILER_LEN];
-        read_exact_or_truncated(&mut inner, &mut trailer, "trailer")?;
-        if &trailer[24..32] != END_MAGIC {
-            return Err(Error::Truncated("trailer magic missing".into()));
-        }
-        let footer_offset = u64::from_le_bytes(trailer[0..8].try_into().expect("8 bytes"));
-        let footer_len = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
-        let footer_checksum = u64::from_le_bytes(trailer[16..24].try_into().expect("8 bytes"));
-        let trailer_start = file_len - TRAILER_LEN as u64;
-        if footer_offset
-            .checked_add(footer_len)
-            .is_none_or(|end| end != trailer_start)
-            || footer_offset < MAGIC.len() as u64
-        {
-            return Err(Error::Truncated("trailer points outside the file".into()));
-        }
-        let footer_len = usize::try_from(footer_len)
-            .map_err(|_| Error::Format("footer length overflow".into()))?;
-        inner.seek(SeekFrom::Start(footer_offset))?;
-        let mut footer_bytes = vec![0u8; footer_len];
-        read_exact_or_truncated(&mut inner, &mut footer_bytes, "footer")?;
-        if checksum(&footer_bytes) != footer_checksum {
-            return Err(Error::FooterChecksum);
-        }
-        let footer = decode_footer(&footer_bytes)?;
+        let (_, footer) = read_seal(&mut inner, file_len)?;
         Ok(StoreReader { inner, footer })
     }
 
     /// Binds an already-validated footer to `inner` without requiring a
     /// trailer — how [`open_recovered`](crate::append::open_recovered)
-    /// reads a torn append-mode file whose index was rebuilt by walking
+    /// reads a torn file whose index was rebuilt by walking its
     /// checksummed group frames.
     pub fn with_footer(inner: R, footer: Footer) -> Self {
         StoreReader { inner, footer }
@@ -326,7 +299,8 @@ impl<R: Read + Seek> StoreReader<R> {
             }
             stats.chunks_scanned += 1;
             bytes_read += self.footer.chunks[idx].len as u64;
-            let rows = match self.read_chunk(idx) {
+            let meta = &self.footer.chunks[idx];
+            let rows = match read_chunk(&mut self.inner, meta, idx, &self.footer.buses) {
                 Ok(rows) => rows,
                 Err(e) => {
                     if matches!(e, Error::ChunkChecksum { .. }) {
@@ -361,18 +335,49 @@ impl<R: Read + Seek> StoreReader<R> {
         })?;
         Ok(out)
     }
+}
 
-    /// Reads, checksum-verifies and decodes chunk `idx`.
-    fn read_chunk(&mut self, idx: usize) -> Result<Vec<IndexedRecord>> {
-        let meta = &self.footer.chunks[idx];
-        self.inner.seek(SeekFrom::Start(meta.offset))?;
-        let mut bytes = vec![0u8; meta.len as usize];
-        read_exact_or_truncated(&mut self.inner, &mut bytes, "chunk body")?;
-        if checksum(&bytes) != meta.checksum {
-            return Err(Error::ChunkChecksum { chunk: idx });
-        }
-        decode_chunk(&bytes, &self.footer.buses)
+/// Reads and validates the seal ending a `file_len`-byte file: the trailer,
+/// then the footer it points at. Returns the footer and its file offset.
+///
+/// # Errors
+///
+/// [`Error::Truncated`] for a missing or out-of-file trailer,
+/// [`Error::FooterChecksum`] for a damaged footer and [`Error::Format`] for
+/// malformed footer bytes.
+pub(crate) fn read_seal<R: Read + Seek>(inner: &mut R, file_len: u64) -> Result<(u64, Footer)> {
+    if file_len < (MAGIC.len() + TRAILER_LEN) as u64 {
+        return Err(Error::Truncated("no room for a trailer".into()));
     }
+    inner.seek(SeekFrom::Start(file_len - TRAILER_LEN as u64))?;
+    let mut trailer = [0u8; TRAILER_LEN];
+    read_exact_or_truncated(inner, &mut trailer, "trailer")?;
+    let (footer_offset, footer_len, footer_checksum) = decode_trailer(&trailer, file_len)?;
+    inner.seek(SeekFrom::Start(footer_offset))?;
+    let mut footer_bytes = vec![0u8; footer_len];
+    read_exact_or_truncated(inner, &mut footer_bytes, "footer")?;
+    if checksum(&footer_bytes) != footer_checksum {
+        return Err(Error::FooterChecksum);
+    }
+    Ok((footer_offset, decode_footer(&footer_bytes)?))
+}
+
+/// Reads the chunk `meta` indexes, verifies its checksum and decodes it
+/// against the bus dictionary `buses`. `chunk` is the number reported in
+/// [`Error::ChunkChecksum`].
+pub(crate) fn read_chunk<R: Read + Seek>(
+    inner: &mut R,
+    meta: &ChunkMeta,
+    chunk: usize,
+    buses: &[Arc<str>],
+) -> Result<Vec<IndexedRecord>> {
+    inner.seek(SeekFrom::Start(meta.offset))?;
+    let mut bytes = vec![0u8; meta.len as usize];
+    read_exact_or_truncated(inner, &mut bytes, "chunk body")?;
+    if checksum(&bytes) != meta.checksum {
+        return Err(Error::ChunkChecksum { chunk });
+    }
+    decode_chunk(&bytes, buses)
 }
 
 /// Flushes one scan's accumulated counters to the installed subscriber

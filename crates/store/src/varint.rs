@@ -140,6 +140,18 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Reads an LEB128 varint that must fit a `u32`; `what` names the
+    /// field in the error.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Cursor::read_u64`], plus [`Error::Format`] for
+    /// values above `u32::MAX`.
+    pub fn read_u32(&mut self, what: &str) -> Result<u32> {
+        let v = self.read_u64()?;
+        u32::try_from(v).map_err(|_| Error::Format(format!("{what} {v} exceeds u32")))
+    }
+
     /// Reads a zigzag varint.
     ///
     /// # Errors

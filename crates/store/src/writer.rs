@@ -11,9 +11,12 @@
 //! (delta-encoded, ~1 byte/row) so readers restore exact trace order per
 //! group.
 //!
-//! The writer needs only `Write` — no seeking. It tracks bytes written and
-//! places the footer at the end, with a fixed-size trailer pointing back at
-//! it.
+//! Every group is written as one checksummed group frame (see
+//! [`append`](crate::append)), so a file is recoverable and followable
+//! while it grows; [`StoreWriter::finish`] seals it with the footer index
+//! and a fixed-size trailer. This is the one `.ivns` encoder:
+//! [`AppendWriter`](crate::append::AppendWriter) only adds a flush policy.
+//! It needs only `Write` — no seeking: bytes written give every offset.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -22,9 +25,10 @@ use std::sync::Arc;
 
 use crate::error::Result;
 use crate::layout::{
-    checksum, encode_chunk, encode_footer, ChunkMeta, EncodedRow, Footer, ZoneMap, END_MAGIC, MAGIC,
+    checksum, encode_chunk, encode_footer, encode_frame_header, encode_trailer, ChunkMeta, Footer,
+    IndexedRecord, ZoneMap, FRAME_OVERHEAD, GROUP_MAGIC, MAGIC,
 };
-use crate::record::{protocol_tag, Record};
+use crate::record::Record;
 
 /// Tuning knobs for [`StoreWriter`].
 #[derive(Debug, Clone, Copy)]
@@ -59,26 +63,21 @@ impl WriterOptions {
 
 /// Streaming writer for the `.ivns` chunked columnar trace format.
 pub struct StoreWriter<W: Write> {
-    out: W,
+    pub(crate) out: W,
     options: WriterOptions,
+    /// Rows per group: the flush threshold and the footer's `group_rows`.
+    pub(crate) group_rows: usize,
     /// Bytes written so far == offset of the next write (no Seek needed).
-    offset: u64,
+    pub(crate) offset: u64,
     /// Bus dictionary in first-seen order.
     buses: Vec<Arc<str>>,
+    /// Buses already persisted in earlier frame headers.
+    buses_written: usize,
     /// Buffered rows of the current group, in append order.
-    group: Vec<BufferedRow>,
+    pub(crate) group: Vec<IndexedRecord>,
     chunks: Vec<ChunkMeta>,
     rows_total: u64,
-    groups: u32,
-}
-
-struct BufferedRow {
-    index: u64,
-    timestamp_us: u64,
-    bus_id: u32,
-    message_id: u32,
-    protocol: u8,
-    payload: Vec<u8>,
+    pub(crate) groups: u32,
 }
 
 impl StoreWriter<BufWriter<File>> {
@@ -103,8 +102,10 @@ impl<W: Write> StoreWriter<W> {
         Ok(StoreWriter {
             out,
             options,
+            group_rows: options.group_rows(),
             offset: MAGIC.len() as u64,
             buses: Vec::new(),
+            buses_written: 0,
             group: Vec::new(),
             chunks: Vec::new(),
             rows_total: 0,
@@ -112,56 +113,39 @@ impl<W: Write> StoreWriter<W> {
         })
     }
 
-    /// Appends one record, flushing a full group of chunks when the buffer
+    /// Appends one record, writing a full group frame when the buffer
     /// reaches `chunks_per_group × chunk_rows` rows.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Io`](crate::Error::Io) if a group flush fails.
+    /// Returns [`Error::Io`](crate::Error::Io) if a group write fails.
     pub fn append(&mut self, record: &Record) -> Result<()> {
-        let bus_id = self.intern_bus(&record.bus);
-        self.group.push(BufferedRow {
-            index: self.rows_total,
-            timestamp_us: record.timestamp_us,
-            bus_id,
-            message_id: record.message_id,
-            protocol: protocol_tag(record.protocol),
-            payload: record.payload.clone(),
-        });
-        self.rows_total += 1;
-        if self.group.len() >= self.options.group_rows() {
-            self.flush_group()?;
+        self.buffer(record);
+        if self.group.len() >= self.group_rows {
+            self.write_group()?;
         }
         Ok(())
     }
 
-    /// Flushes any buffered rows, writes the footer and trailer, and
-    /// returns the inner writer.
+    /// Writes any buffered rows as a last group, seals the file with the
+    /// footer and trailer, and returns the inner writer.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Io`](crate::Error::Io) /
     /// [`Error::Format`](crate::Error::Format) on write or encoding failure.
     pub fn finish(mut self) -> Result<W> {
-        self.flush_group()?;
+        self.write_group()?;
         let footer = Footer {
             buses: std::mem::take(&mut self.buses),
             rows: self.rows_total,
             groups: self.groups,
-            group_rows: self.options.group_rows() as u32,
+            group_rows: self.group_rows as u32,
             clustered: self.options.cluster,
             generation: u64::from(self.groups),
             chunks: std::mem::take(&mut self.chunks),
         };
-        let footer_bytes = encode_footer(&footer)?;
-        let footer_offset = self.offset;
-        self.out.write_all(&footer_bytes)?;
-        self.out.write_all(&footer_offset.to_le_bytes())?;
-        self.out
-            .write_all(&(footer_bytes.len() as u64).to_le_bytes())?;
-        self.out.write_all(&checksum(&footer_bytes).to_le_bytes())?;
-        self.out.write_all(END_MAGIC)?;
-        self.out.flush()?;
+        write_seal(&mut self.out, self.offset, &footer)?;
         Ok(self.out)
     }
 
@@ -170,52 +154,81 @@ impl<W: Write> StoreWriter<W> {
         self.rows_total
     }
 
-    fn intern_bus(&mut self, bus: &Arc<str>) -> u32 {
+    /// Buffers one record into the current group without flushing it.
+    pub(crate) fn buffer(&mut self, record: &Record) {
         // Traces carry a handful of buses; linear probing beats a map.
-        for (i, known) in self.buses.iter().enumerate() {
-            if known.as_ref() == bus.as_ref() {
-                return i as u32;
+        let bus_id = match self.buses.iter().position(|b| *b == record.bus) {
+            Some(id) => id as u32,
+            None => {
+                self.buses.push(record.bus.clone());
+                (self.buses.len() - 1) as u32
             }
-        }
-        self.buses.push(bus.clone());
-        (self.buses.len() - 1) as u32
+        };
+        self.group.push(IndexedRecord {
+            index: self.rows_total,
+            bus_id,
+            record: record.clone(),
+        });
+        self.rows_total += 1;
     }
 
-    fn flush_group(&mut self) -> Result<()> {
+    /// Writes the buffered rows as one group frame (no-op when empty) and
+    /// returns the group's id and row count. The frame is handed to the
+    /// inner writer, not flushed through it.
+    pub(crate) fn write_group(&mut self) -> Result<Option<(u32, usize)>> {
         if self.group.is_empty() {
-            return Ok(());
+            return Ok(None);
         }
         let mut rows = std::mem::take(&mut self.group);
         if self.options.cluster {
-            rows.sort_by_key(|r| (r.bus_id, r.message_id, r.index));
+            rows.sort_by_key(|r| (r.bus_id, r.record.message_id, r.index));
         }
-        let group_id = self.groups;
-        self.groups += 1;
-        for chunk_rows in rows.chunks(self.options.chunk_rows.max(1)) {
-            let encoded_rows: Vec<EncodedRow<'_>> = chunk_rows
-                .iter()
-                .map(|r| EncodedRow {
-                    index: r.index,
-                    timestamp_us: r.timestamp_us,
-                    bus_id: r.bus_id,
-                    message_id: r.message_id,
-                    protocol: r.protocol,
-                    payload: &r.payload,
-                })
-                .collect();
-            let zone = ZoneMap::compute(&encoded_rows, self.buses.len());
-            let bytes = encode_chunk(&encoded_rows);
-            self.chunks.push(ChunkMeta {
-                offset: self.offset,
+        let group = self.groups;
+        // Cut chunks first: the frame header indexes them, so their bytes
+        // and metadata must exist before the header can be written.
+        let mut bodies = Vec::new();
+        let mut metas = Vec::new();
+        for chunk in rows.chunks(self.options.chunk_rows.max(1)) {
+            let bytes = encode_chunk(chunk);
+            metas.push(ChunkMeta {
+                offset: 0, // absolute offset patched below, once known
                 len: bytes.len() as u32,
-                rows: chunk_rows.len() as u32,
-                group: group_id,
+                rows: chunk.len() as u32,
+                group,
                 checksum: checksum(&bytes),
-                zone,
+                zone: ZoneMap::compute(chunk, self.buses.len()),
             });
-            self.out.write_all(&bytes)?;
+            bodies.push(bytes);
+        }
+        let header = encode_frame_header(
+            group,
+            self.options.cluster,
+            &self.buses[self.buses_written..],
+            &metas,
+        );
+        self.out.write_all(GROUP_MAGIC)?;
+        self.out.write_all(&(header.len() as u32).to_le_bytes())?;
+        self.out.write_all(&header)?;
+        self.out.write_all(&checksum(&header).to_le_bytes())?;
+        self.offset += (FRAME_OVERHEAD + header.len()) as u64;
+        for (meta, bytes) in metas.iter_mut().zip(&bodies) {
+            meta.offset = self.offset;
+            self.out.write_all(bytes)?;
             self.offset += bytes.len() as u64;
         }
-        Ok(())
+        self.buses_written = self.buses.len();
+        self.groups += 1;
+        self.chunks.extend(metas);
+        Ok(Some((group, rows.len())))
     }
+}
+
+/// Seals a file whose group frames end at `footer_offset`: writes the
+/// footer and the trailer pointing back at it, then flushes `out`.
+pub(crate) fn write_seal<W: Write>(out: &mut W, footer_offset: u64, footer: &Footer) -> Result<()> {
+    let footer_bytes = encode_footer(footer)?;
+    out.write_all(&footer_bytes)?;
+    out.write_all(&encode_trailer(footer_offset, &footer_bytes))?;
+    out.flush()?;
+    Ok(())
 }

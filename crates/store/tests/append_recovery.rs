@@ -1,16 +1,19 @@
-//! Append-mode store: crash recovery, follower tailing, seal compatibility.
+//! Group frames: crash recovery, follower tailing, seal compatibility.
 //!
-//! The recovery contract under test: whatever byte the file is cut at, the
-//! reopened store recovers **every sealed (fully flushed) group** with
-//! typed errors only — no panics — losing at most the torn tail group.
+//! The recovery contract under test: whatever byte a file written by
+//! either writer is cut at, the reopened store recovers **every complete
+//! (fully flushed) group** with typed errors only — no panics — losing at
+//! most the torn tail group.
 
 use std::io::Cursor;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use ivnt_protocol::message::Protocol;
+use ivnt_store::layout::{encode_footer, encode_trailer, MAGIC, TRAILER_LEN};
 use ivnt_store::{
-    recover, seal_recovered, AppendOptions, AppendWriter, Record, StoreFollower, StoreReader,
-    WriterOptions,
+    open_recovered, recover, seal_recovered, AppendOptions, AppendWriter, Error, Record,
+    StoreFollower, StoreReader, StoreWriter, WriterOptions,
 };
 use proptest::prelude::*;
 
@@ -63,6 +66,54 @@ fn append_bytes(n: u64, options: AppendOptions) -> (Vec<u8>, Vec<(usize, u64)>) 
     (bytes[..frames_end].to_vec(), groups)
 }
 
+/// Writes `n` records through a `StoreWriter`, returning the sealed bytes
+/// plus per-group `(rows, end byte offset)` read back from the footer.
+fn store_bytes(n: u64, options: WriterOptions) -> (Vec<u8>, Vec<(usize, u64)>) {
+    let mut writer = StoreWriter::new(Vec::new(), options).unwrap();
+    for i in 0..n {
+        writer.append(&record(i)).unwrap();
+    }
+    let bytes = writer.finish().unwrap();
+    let reader = StoreReader::from_reader(Cursor::new(bytes.clone())).unwrap();
+    let footer = reader.footer();
+    let groups = footer
+        .group_spans()
+        .iter()
+        .map(|span| {
+            let last = &footer.chunks[span.chunk_end - 1];
+            (span.rows as usize, last.offset + u64::from(last.len))
+        })
+        .collect();
+    (bytes, groups)
+}
+
+/// The file the writer produced before group frames existed: the same
+/// chunks back to back after the header, the footer's offsets shifted to
+/// match, built with `layout`'s public footer and trailer encoders.
+fn frameless(framed: &[u8]) -> Vec<u8> {
+    let reader = StoreReader::from_reader(Cursor::new(framed)).unwrap();
+    let mut footer = reader.footer().clone();
+    let mut bytes = MAGIC.to_vec();
+    for chunk in &mut footer.chunks {
+        let start = chunk.offset as usize;
+        chunk.offset = bytes.len() as u64;
+        bytes.extend_from_slice(&framed[start..start + chunk.len as usize]);
+    }
+    let footer_offset = bytes.len() as u64;
+    let footer_bytes = encode_footer(&footer).unwrap();
+    bytes.extend_from_slice(&footer_bytes);
+    bytes.extend_from_slice(&encode_trailer(footer_offset, &footer_bytes));
+    bytes
+}
+
+fn temp_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "ivnt-{tag}-{}-{:?}.ivns",
+        std::process::id(),
+        std::thread::current().id()
+    ))
+}
+
 #[test]
 fn sealed_append_file_reads_like_a_batch_store() {
     let records: Vec<Record> = (0..500).map(record).collect();
@@ -77,6 +128,44 @@ fn sealed_append_file_reads_like_a_batch_store() {
     assert_eq!(reader.footer().rows, 500);
     assert_eq!(reader.footer().groups, 5);
     assert_eq!(reader.read_all().unwrap(), records);
+}
+
+#[test]
+fn store_writer_files_are_followed_and_frameless_ones_stay_safe() {
+    let records: Vec<Record> = (0..500).map(record).collect();
+    let (bytes, groups) = store_bytes(500, append_options(16, 0).writer);
+    assert_eq!(groups.len(), 8); // 7×64 + trailing 52
+    let path = temp_path("follow-batch");
+    std::fs::write(&path, &bytes).unwrap();
+    let batch = StoreFollower::open(&path).unwrap().poll().unwrap();
+    assert!(batch.sealed);
+    assert_eq!(batch.groups.len(), groups.len());
+    let tailed: Vec<Record> = batch.groups.into_iter().flat_map(|g| g.records).collect();
+    assert_eq!(tailed, records);
+
+    // The same store as written before group frames existed.
+    let old = frameless(&bytes);
+    std::fs::write(&path, &old).unwrap();
+    let (mut reader, recovered) = open_recovered(&path).unwrap();
+    assert!(recovered.sealed);
+    assert_eq!(recovered.footer.rows, 500);
+    assert_eq!(recovered.torn_bytes(), 0);
+    assert_eq!(reader.read_all().unwrap(), records);
+    // Sealing it again changes nothing.
+    assert!(seal_recovered(&path).unwrap().sealed);
+    assert_eq!(std::fs::read(&path).unwrap(), old);
+    // The follower refuses it with a typed error, never an empty stream.
+    let err = StoreFollower::open(&path).unwrap().poll().unwrap_err();
+    assert!(matches!(err, Error::Format(_)), "{err}");
+    // With its footer damaged there is nothing to recover from: refused
+    // with a typed error, the file left as it was.
+    let mut damaged = old;
+    let at = damaged.len() - TRAILER_LEN - 1;
+    damaged[at] ^= 0xFF;
+    std::fs::write(&path, &damaged).unwrap();
+    assert!(matches!(seal_recovered(&path), Err(Error::Format(_))));
+    assert_eq!(std::fs::read(&path).unwrap(), damaged);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -122,11 +211,7 @@ fn torn_tail_is_truncated_and_sealed_groups_survive() {
 
 #[test]
 fn follower_tails_groups_as_they_complete_and_sees_the_seal() {
-    let path = std::env::temp_dir().join(format!(
-        "ivnt-follow-{}-{:?}.ivns",
-        std::process::id(),
-        std::thread::current().id()
-    ));
+    let path = temp_path("follow");
     let mut writer = AppendWriter::create(&path, append_options(16, 50)).unwrap();
     let mut follower = StoreFollower::open(&path).unwrap();
     let mut tailed: Vec<Record> = Vec::new();
@@ -157,11 +242,7 @@ fn follower_tails_groups_as_they_complete_and_sees_the_seal() {
 fn seal_recovered_produces_a_standard_readable_store() {
     let (bytes, _) = append_bytes(330, append_options(16, 64));
     let torn = &bytes[..bytes.len() - 7];
-    let path = std::env::temp_dir().join(format!(
-        "ivnt-reseal-{}-{:?}.ivns",
-        std::process::id(),
-        std::thread::current().id()
-    ));
+    let path = temp_path("reseal");
     std::fs::write(&path, torn).unwrap();
     let recovered = seal_recovered(&path).unwrap();
     assert!(recovered.sealed);
@@ -183,14 +264,22 @@ proptest! {
     /// Cut an unsealed append file at *any* byte offset: recovery must
     /// return typed results (never panic), keep exactly the complete
     /// frames, and the recovered prefix must replay losslessly.
+    /// The input is an unsealed `AppendWriter` file or a sealed
+    /// `StoreWriter` one (whose seal any cut breaks).
     #[test]
     fn recovery_at_any_truncation_offset_keeps_all_sealed_groups(
         n in 1u64..400,
         chunk_rows in 1usize..48,
         flush_rows in 1usize..96,
         cut_fraction in 0.0f64..1.0,
+        store_writer in any::<bool>(),
     ) {
-        let (bytes, groups) = append_bytes(n, append_options(chunk_rows, flush_rows));
+        let options = append_options(chunk_rows, flush_rows);
+        let (bytes, groups) = if store_writer {
+            store_bytes(n, options.writer)
+        } else {
+            append_bytes(n, options)
+        };
         let cut = ((bytes.len() as f64) * cut_fraction) as usize;
         let torn = &bytes[..cut];
 
@@ -275,11 +364,7 @@ proptest! {
 fn recover_on_path_matches_reader_recovery() {
     let (bytes, _) = append_bytes(120, append_options(8, 40));
     let torn = &bytes[..bytes.len() - 3];
-    let path = std::env::temp_dir().join(format!(
-        "ivnt-recover-{}-{:?}.ivns",
-        std::process::id(),
-        std::thread::current().id()
-    ));
+    let path = temp_path("recover");
     std::fs::write(&path, torn).unwrap();
     let from_path = recover(&path).unwrap();
     let from_reader = ivnt_store::recover_reader(&mut Cursor::new(torn)).unwrap();
